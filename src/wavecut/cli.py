@@ -292,20 +292,14 @@ def cmd_validate(args) -> int:
     return 1 if n_fail else 0
 
 
-_NEG_GRID = re.compile(r"^-\d")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _GridArgumentParser(
         prog="wavecut",
         description="Exactly solvable 1D two-body decoupling scattering "
                     "model: Wiener-Hopf factors, wave functions, "
                     "asymptotics, validation.")
-    # let grid values like -4:-1:4 pass as option values
-    p._negative_number_matcher = _NEG_GRID
     p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True,
-                           parser_class=_GridArgumentParser)
+    sub = p.add_subparsers(dest="command", required=True)
 
     def common(q):
         q.add_argument("--a", type=float, help="decay constant (default 1)")

@@ -25,12 +25,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 __all__ = [
-    "PhysicalParams", "ReducedParams", "BranchConvention", "BranchedRoot",
-    "BranchPointError", "reduce_params", "branch_sqrt", "kernel_sigma",
-    "kernel_S", "reflection", "green0",
+    "PhysicalParams", "ReducedParams", "BranchPointError", "reduce_params",
+    "branch_sqrt", "kernel_sigma", "kernel_S", "reflection", "green0",
 ]
 
 
@@ -64,17 +62,6 @@ class ReducedParams:
         return cls(a=float(a), k0=float(k0), K=math.hypot(a, k0))
 
 
-class BranchConvention(Enum):
-    # the exp(-|y| w) factor decays on the contours this branch serves
-    DECAY_AT_INFINITY = "decay_at_infinity"
-
-
-@dataclass(frozen=True)
-class BranchedRoot:
-    value: complex
-    convention: BranchConvention = BranchConvention.DECAY_AT_INFINITY
-
-
 def reduce_params(p: PhysicalParams) -> ReducedParams:
     """Reduce physical inputs to (a, k0, K).
 
@@ -91,9 +78,9 @@ def reduce_params(p: PhysicalParams) -> ReducedParams:
     return ReducedParams.from_a_k0(a, k0)
 
 
-def branch_sqrt(k: complex, rp: ReducedParams) -> BranchedRoot:
+def branch_sqrt(k: complex, rp: ReducedParams) -> complex:
     """sqrt(k^2 - k0^2) on the branch continuous in the closed upper half
-    plane.
+    plane, on which the exp(-|y| w) factor decays along the contours.
 
     Constructed as principal sqrt(k - k0) * sqrt(k + k0).  Anchors:
     w(k) = +sqrt(k^2-k0^2) for real k > k0, and w = +i sqrt(k0^2-k^2) on
@@ -104,13 +91,12 @@ def branch_sqrt(k: complex, rp: ReducedParams) -> BranchedRoot:
     k0 = rp.k0
     if k == k0 or k == -k0:
         raise BranchPointError(f"branch point k = {k}")
-    return BranchedRoot(cmath.sqrt(k - k0) * cmath.sqrt(k + k0))
+    return cmath.sqrt(k - k0) * cmath.sqrt(k + k0)
 
 
 def kernel_sigma(k: complex, rp: ReducedParams) -> complex:
     """sigma(k) = 1 - a / sqrt(k^2 - k0^2)."""
-    w = branch_sqrt(k, rp).value
-    return 1.0 - rp.a / w
+    return 1.0 - rp.a / branch_sqrt(k, rp)
 
 
 def kernel_S(k: complex, rp: ReducedParams) -> complex:
@@ -121,7 +107,7 @@ def kernel_S(k: complex, rp: ReducedParams) -> complex:
     k = complex(k)
     if k in (rp.K, -rp.K):
         raise ValueError(f"pole of the rescaling factor at k = {k}")
-    w = branch_sqrt(k, rp).value  # raises at +-k0
+    w = branch_sqrt(k, rp)  # raises at +-k0
     return (k * k - rp.k0 ** 2) / (k * k - rp.K ** 2) * (1.0 - rp.a / w)
 
 
@@ -140,4 +126,4 @@ def reflection(rp: ReducedParams) -> float:
 def green0(k: complex, rp: ReducedParams) -> complex:
     """Free two-body Green function in momentum space,
     g0(k) = 1/(2 sqrt(k^2 - k0^2))."""
-    return 1.0 / (2.0 * branch_sqrt(k, rp).value)
+    return 1.0 / (2.0 * branch_sqrt(k, rp))

@@ -19,8 +19,8 @@ from . import specfun, wiener_hopf as wh
 from .model import ReducedParams, kernel_S, reflection
 from .quadrature import Kind, QuadratureSpec, integrate
 from .specfun import CATALAN, ZETA2, dilog, ti2
-from .wavefunction import (psi_atom, psi_free, psi_unified_extrapolated,
-                           unified_residue_check)
+from .wavefunction import (psi_approx31, psi_atom, psi_free,
+                           psi_unified_extrapolated, unified_residue_check)
 
 PI = math.pi
 
@@ -106,7 +106,7 @@ def checks_model() -> list[CheckResult]:
     # branch continuity along a UHP path
     th = np.linspace(0.02, PI - 0.02, 400)
     path = 3.0 * np.exp(1j * th)
-    vals = np.array([branch_sqrt(k, rp).value for k in path])
+    vals = np.array([branch_sqrt(k, rp) for k in path])
     step = np.abs(np.diff(vals)).max()
     out.append(CheckResult("model", "branch_sqrt continuity on UHP arc",
                            float(step), 0.1))
@@ -114,7 +114,7 @@ def checks_model() -> list[CheckResult]:
     worst = 0.0
     for _ in range(50):
         k = complex(rng.uniform(-4, 4), rng.uniform(0.05, 4))
-        w = branch_sqrt(k, rp).value
+        w = branch_sqrt(k, rp)
         worst = max(worst, abs(kernel_S(k, rp) - w / (w + rp.a)))
     out.append(CheckResult("model", "S(k) algebraic forms agree (50 pts)",
                            worst, 1e-12))
@@ -209,10 +209,8 @@ def checks_wavefunction(fast: bool = False,
             reg = psi_atom(R, y, rp, tol=1e-9)
         psi_reg = reg.psi
         if flip_branch and R < 0:
-            # negative control: evaluate the segment with the wrong cut side
-            from .wavefunction import _main_wrap_integral, _pref
-            bad = _main_wrap_integral(R, y, rp, 1e-9, True)  # one side only
-            psi_reg = _pref(rp) / (2 * PI) * bad.value
+            # negative control: the segment with one cut side only
+            psi_reg = psi_approx31(R, y, rp, tol=1e-9).psi
         worst = max(worst, abs(psi_reg - uni.psi) / abs(uni.psi))
     out.append(CheckResult(
         "wavefunction",

@@ -41,6 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _backend
 from .model import ReducedParams
 from .quadrature import Kind, QuadratureSpec, integrate
 from .specfun import dilog, im_ti2, ti2
@@ -106,46 +107,116 @@ def _hint_t(rp: ReducedParams, R: float, y: float) -> float:
     return 2.0 * PI / max(rate, 2.0)
 
 
-def _main_wrap_integral(R: float, y: float, rp: ReducedParams, tol: float,
-                        single_exponential: bool):
-    """Segment part over (0, k0) via x = k0 - t^2 (exact in t).
+# ----------------------------------------------------------------------
+# regional contour pieces
+#
+# Each piece maps its nodes t to (z, q, amp, jump): z = -ik at the contour
+# point k (real on the imaginary-axis legs), the cut variable
+# q = sqrt(k0^2 - k^2), the (R, y)-independent amplitude (S+ included)
+# and, on the lower cut (R > 0), the jump (a + i q)/(a - i q) of the
+# continued plus factor.  The integrand is
+# amp e^{zR} _transverse(q, |y|, jump), and every regional route is
+#
+#     psi = [R > 0] bound pair + pref/(2 pi) (segment - i leg).
+# ----------------------------------------------------------------------
 
-    Returns the integral of sqrt((k0+x)/(k0-x)) e^{-ixR} OSC /
-    (S+(x)(K^2-x^2)) dx with OSC = 2 cos(|y| q) (wrap) or e^{-i|y|q}
-    (single exponential)."""
+def _free_segment(t: np.ndarray, rp: ReducedParams):
+    """Upper cut, both sides: x = k0 - t^2 over t in (0, sqrt(k0))."""
+    g = np.sqrt(2.0 * rp.k0 - t * t)
+    x = rp.k0 - t * t
+    amp = 2.0 * g / (splus_array(x, rp) * (rp.K * rp.K - x * x))
+    return -1j * x, t * g, amp, None
+
+
+def _free_leg(t: np.ndarray, rp: ReducedParams):
+    """Positive imaginary axis k = i t, decaying like e^{-t|R|}."""
+    k = 1j * t
+    v = np.sqrt(rp.k0 * rp.k0 + t * t)
+    amp = (rp.k0 + k) / v / ((t * t + rp.K * rp.K) * splus_array(k, rp))
+    return t, v, amp, None
+
+
+def _atom_segment(t: np.ndarray, rp: ReducedParams):
+    """Lower cut: x = -k0 + t^2 over t in (0, sqrt(k0))."""
+    a = rp.a
+    g = np.sqrt(2.0 * rp.k0 - t * t)
+    x = -rp.k0 + t * t
+    q = t * g
+    amp = (2.0 * t * t / g) / (splus_array(x, rp) * (x * x - rp.K * rp.K))
+    return -1j * x, q, amp, (a + 1j * q) / (a - 1j * q)
+
+
+def _atom_leg(t: np.ndarray, rp: ReducedParams):
+    """Negative imaginary axis k = -i t, decaying like e^{-tR}."""
+    a = rp.a
+    k = -1j * t
+    v = np.sqrt(rp.k0 * rp.k0 + t * t)
+    amp = -(rp.k0 + k) / v / ((t * t + rp.K * rp.K) * splus_array(k, rp))
+    return -t, v, amp, (a + 1j * v) / (a - 1j * v)
+
+
+def _transverse(q: np.ndarray, ay: float, jump, single: bool = False):
+    """y dependence of a piece: 2 cos(|y| q) for both sides of the upper
+    cut, e^{-i|y|q} for the one-sided APPROX_31 segment, and
+    jump e^{-i|y|q} - e^{i|y|q} across the lower cut."""
+    if jump is not None:
+        return jump * np.exp(-1j * ay * q) - np.exp(1j * ay * q)
+    if single:
+        return np.exp(-1j * ay * q)
+    return 2.0 * np.cos(ay * q)
+
+
+def _bound_pair(R: float, y: float, rp: ReducedParams, sK: complex) -> complex:
+    """Incident plus reflected bound pair for R > 0, sK = S+(K)."""
     a, k0, K = rp.a, rp.k0, rp.K
+    ay = abs(y)
+    return (cmath.exp(-1j * K * R - a * ay)
+            + 2.0 * (a * a / (K + k0) ** 2) * sK * sK
+            * cmath.exp(1j * K * R - a * ay))
+
+
+def _piece_integral(piece, R: float, y: float, rp: ReducedParams, tol: float,
+                    single: bool = False):
     ay = abs(y)
 
     def f(t: np.ndarray) -> np.ndarray:
-        g = np.sqrt(2.0 * k0 - t * t)
-        x = k0 - t * t
-        q = t * g
-        if single_exponential:
-            osc = np.exp(-1j * ay * q)
-        else:
-            osc = 2.0 * np.cos(ay * q)
-        sp = splus_array(x, rp)
-        return 2.0 * g * np.exp(-1j * x * R) * osc / (sp * (K * K - x * x))
+        z, q, amp, jump = piece(t, rp)
+        return amp * np.exp(z * R) * _transverse(q, ay, jump, single)
 
-    spec = QuadratureSpec(Kind.FINITE, (0.0, math.sqrt(k0)), tol=tol,
-                          oscillation_hint=_hint_t(rp, R, y))
+    if piece in (_free_leg, _atom_leg):
+        spec = QuadratureSpec(Kind.DECAYING_RAY, (0.0, 1.0, abs(R)), tol=tol,
+                              oscillation_hint=2.0 * PI / max(ay, 0.5))
+    else:
+        spec = QuadratureSpec(Kind.FINITE, (0.0, math.sqrt(rp.k0)), tol=tol,
+                              oscillation_hint=_hint_t(rp, R, y))
     return integrate(f, spec)
 
 
-def _leg_integral(R: float, y: float, rp: ReducedParams, tol: float):
-    """Vertical-leg integral for R < 0 (decays like e^{-t|R|})."""
-    a, k0, K = rp.a, rp.k0, rp.K
-    ay, aR = abs(y), abs(R)
+def _contour(R: float, y: float, rp: ReducedParams, tol: float,
+             method: Method) -> WaveSample:
+    """pref/(2 pi) (segment - i leg) by adaptive quadrature of each piece.
 
-    def f(t: np.ndarray) -> np.ndarray:
-        v = np.sqrt(k0 * k0 + t * t)
-        sp = splus_array(1j * t, rp)
-        return ((k0 + 1j * t) / v * np.exp(-t * aR) * 2.0 * np.cos(ay * v)
-                / ((t * t + K * K) * sp))
-
-    spec = QuadratureSpec(Kind.DECAYING_RAY, (0.0, 1.0, aR), tol=tol,
-                          oscillation_hint=2.0 * PI / max(ay, 0.5))
-    return integrate(f, spec)
+    REGIONAL_WITH_VERTICAL_LEG adds the leg; REGIONAL reports its
+    magnitude inside err_est instead; APPROX_31 is the one-sided segment
+    alone."""
+    segment, leg = ((_free_segment, _free_leg) if R < 0
+                    else (_atom_segment, _atom_leg))
+    pref = _pref(rp)
+    scale = max(abs(pref) / (2.0 * PI), 1e-30)
+    seg = _piece_integral(segment, R, y, rp, tol / scale,
+                          method is Method.APPROX_31)
+    psi = pref / (2.0 * PI) * seg.value
+    err, ok = scale * seg.err_est, seg.converged
+    if method is Method.REGIONAL_WITH_VERTICAL_LEG:
+        res = _piece_integral(leg, R, y, rp, tol / scale)
+        psi += -1j * pref / (2.0 * PI) * res.value
+        err += scale * res.err_est
+        ok = ok and res.converged
+    elif method is Method.REGIONAL:
+        # neglected evanescent piece, reported but not added
+        res = _piece_integral(leg, R, y, rp, max(100 * tol, 1e-6) / scale)
+        err += scale * abs(res.value)
+    return WaveSample(R, y, psi, err, method, ok)
 
 
 def psi_free(R: float, y: float, rp: ReducedParams, tol: float = 1e-8,
@@ -162,24 +233,8 @@ def psi_free(R: float, y: float, rp: ReducedParams, tol: float = 1e-8,
         raise ValueError("psi_free requires R < 0")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    pref = _pref(rp)
-    scale = abs(pref) / (2.0 * PI)
-    main = _main_wrap_integral(R, y, rp, tol / max(scale, 1e-30), False)
-    psi = pref / (2.0 * PI) * main.value
-    err = scale * main.err_est
-    ok = main.converged
-    if include_vertical_leg:
-        leg = _leg_integral(R, y, rp, tol / max(scale, 1e-30))
-        psi += -1j * pref / (2.0 * PI) * leg.value
-        err += scale * leg.err_est
-        ok = ok and leg.converged
-        method = Method.REGIONAL_WITH_VERTICAL_LEG
-    else:
-        # neglected evanescent piece, reported but not added
-        leg = _leg_integral(R, y, rp, max(100 * tol, 1e-6) / max(scale, 1e-30))
-        err += scale * abs(leg.value)
-        method = Method.REGIONAL
-    return WaveSample(R, y, psi, err, method, ok)
+    return _contour(R, y, rp, tol, Method.REGIONAL_WITH_VERTICAL_LEG
+                    if include_vertical_leg else Method.REGIONAL)
 
 
 def psi_approx31(R: float, y: float, rp: ReducedParams,
@@ -188,60 +243,18 @@ def psi_approx31(R: float, y: float, rp: ReducedParams,
     no leg).  Kept as its own method; differs from the exact wrap at O(1)."""
     if R >= 0.0:
         raise ValueError("psi_approx31 requires R < 0")
-    pref = _pref(rp)
-    scale = abs(pref) / (2.0 * PI)
-    main = _main_wrap_integral(R, y, rp, tol / max(scale, 1e-30), True)
-    return WaveSample(R, y, pref / (2.0 * PI) * main.value,
-                      scale * main.err_est, Method.APPROX_31, main.converged)
-
-
-def _phi_pieces(R: float, y: float, rp: ReducedParams, tol: float):
-    """Lower-wrap (ionized-field) contour pieces for R > 0.
-
-    Across the lower cut the continued plus factor jumps by
-    -(a - i q)/(a + i q); equivalently the far side carries the factor
-    jump = (a + i q)/(a - i q) on its e^{-i|y|q} exponential.
-    """
-    a, k0, K = rp.a, rp.k0, rp.K
-    ay = abs(y)
-
-    def f_h(t: np.ndarray) -> np.ndarray:
-        g = np.sqrt(2.0 * k0 - t * t)
-        x = -k0 + t * t
-        q = t * g
-        jump = (a + 1j * q) / (a - 1j * q)
-        osc = jump * np.exp(-1j * ay * q) - np.exp(1j * ay * q)
-        sp = splus_array(x, rp)
-        return (2.0 * t * t / g) * np.exp(-1j * x * R) * osc / (
-            sp * (x * x - K * K))
-
-    spec_h = QuadratureSpec(Kind.FINITE, (0.0, math.sqrt(k0)), tol=tol,
-                            oscillation_hint=_hint_t(rp, R, y))
-    res_h = integrate(f_h, spec_h)
-
-    def f_v(t: np.ndarray) -> np.ndarray:
-        v = np.sqrt(k0 * k0 + t * t)
-        jump = (a + 1j * v) / (a - 1j * v)
-        osc = np.exp(1j * ay * v) - jump * np.exp(-1j * ay * v)
-        sp = splus_array(-1j * t, rp)
-        return (k0 - 1j * t) / v * np.exp(-t * R) * osc / (
-            (t * t + K * K) * sp)
-
-    spec_v = QuadratureSpec(Kind.DECAYING_RAY, (0.0, 1.0, R), tol=tol,
-                            oscillation_hint=2.0 * PI / max(ay, 0.5))
-    res_v = integrate(f_v, spec_v)
-    return res_h, res_v
+    return _contour(R, y, rp, tol, Method.APPROX_31)
 
 
 def phi_integral(R: float, y: float, rp: ReducedParams,
                  tol: float = 1e-8) -> complex:
-    """Ionized-field contour integral Phi(R, y) for R > 0."""
+    """Ionized-field contour integral Phi(R, y) for R > 0.
+
+    The lower wrap crosses the cut, where the continued plus factor jumps
+    by -(a - i q)/(a + i q)."""
     if R <= 0.0:
         raise ValueError("phi_integral requires R > 0")
-    pref = _pref(rp)
-    res_h, res_v = _phi_pieces(R, y, rp, tol * 2.0 * PI / abs(pref))
-    # Phi = (i pref / 2 pi) (i I_H + I_V)
-    return pref / (2.0 * PI) * (-res_h.value + 1j * res_v.value)
+    return -_contour(R, y, rp, tol, Method.REGIONAL_WITH_VERTICAL_LEG).psi
 
 
 def psi_atom(R: float, y: float, rp: ReducedParams,
@@ -250,20 +263,9 @@ def psi_atom(R: float, y: float, rp: ReducedParams,
     + reflected pair - ionized field Phi."""
     if R <= 0.0:
         raise ValueError("psi_atom requires R > 0")
-    a, k0, K = rp.a, rp.k0, rp.K
-    ay = abs(y)
-    sK = splus_at_K(rp)
-    inc = cmath.exp(-1j * K * R - a * ay)
-    refl_coeff = 2.0 * (a * a / (K + k0)) / (K + k0) * sK * sK
-    refl = refl_coeff * cmath.exp(1j * K * R - a * ay)
-    pref = _pref(rp)
-    scale = abs(pref) / (2.0 * PI)
-    res_h, res_v = _phi_pieces(R, y, rp, tol / max(scale, 1e-30))
-    phi = pref / (2.0 * PI) * (-res_h.value + 1j * res_v.value)
-    err = scale * (res_h.err_est + res_v.err_est)
-    return WaveSample(R, y, inc + refl - phi, err,
-                      Method.REGIONAL_WITH_VERTICAL_LEG,
-                      res_h.converged and res_v.converged)
+    s = _contour(R, y, rp, tol, Method.REGIONAL_WITH_VERTICAL_LEG)
+    return WaveSample(R, y, _bound_pair(R, y, rp, splus_at_K(rp)) + s.psi,
+                      s.err_est, s.method, s.converged)
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +288,6 @@ def unified_residue_check(rp: ReducedParams, eps: float = 1e-3,
     The residue of the line integrand at k = +K (picked up when the
     contour closes for R > 0) is extracted numerically on a small circle
     around K and must reproduce the unit-amplitude incident pair."""
-    from . import _backend
     a = rp.a
     k0e, Ke, alpha = _eps_params(rp, eps)
     r = 0.2 * min(abs(Ke - k0e), abs(Ke))
@@ -326,7 +327,6 @@ def psi_unified(R: float, y: float, rp: ReducedParams, eps: float = 1e-3,
     def f(x: np.ndarray) -> np.ndarray:
         k = x + 1j * c
         w = np.sqrt(k * k - k0e * k0e)
-        from . import _backend
         sp = _backend.splus(np.ascontiguousarray(k, dtype=np.complex128),
                             a, k0e, Ke)
         return (k + k0e) / w * np.exp(-1j * k * R - ay * w) / (
@@ -487,58 +487,43 @@ def _fixed_nodes(t0: float, t1: float, n_panels: int):
     c = 0.5 * (edges[:-1] + edges[1:])
     h = 0.5 * (edges[1:] - edges[:-1])
     ts = (c[:, None] + h[:, None] * _NODES[None, :])
-    w15 = h[:, None] * _W15[None, :]
-    w7 = h[:, None] * _W7[None, :]
-    return ts.ravel(), w15.ravel(), w7.ravel(), n_panels
+    # weights per panel, shape (n_panels, 15)
+    return ts.ravel(), h[:, None] * _W15[None, :], h[:, None] * _W7[None, :]
 
 
 def _scan_region(rp: ReducedParams, R_vals: np.ndarray, y_vals: np.ndarray,
-                 tol: float, single_exponential: bool,
-                 include_legs: bool = True):
-    """All-pairs evaluation for one sign of R with shared nodes."""
-    a, k0, K = rp.a, rp.k0, rp.K
+                 method: Method):
+    """All-pairs evaluation for one sign of R on shared fixed panels: the
+    piece amplitudes once per grid, e^{zR} once per R and the transverse
+    factor once per sample."""
+    k0 = rp.k0
     neg = bool(R_vals[0] < 0)
+    if not neg:
+        method = Method.REGIONAL_WITH_VERTICAL_LEG
+    segment, leg = ((_free_segment, _free_leg) if neg
+                    else (_atom_segment, _atom_leg))
+    single = method is Method.APPROX_31
     Rmax = float(np.max(np.abs(R_vals)))
     Rmin = float(np.min(np.abs(R_vals)))
     ymax = float(np.max(np.abs(y_vals)))
     pref = _pref(rp)
-    sK = splus_at_K(rp)
+    sK = splus_at_K(rp) if not neg else None
 
     # quarter-wavelength initial panels for the worst sample of the grid
     rate = 2.0 * math.sqrt(k0) * Rmax + 2.0 * math.sqrt(2 * k0) * ymax
     n_panels = int(min(6000, max(24, math.ceil(
         math.sqrt(k0) * rate * 2.0 / PI))))
-    ts, w15, w7, npan = _fixed_nodes(0.0, math.sqrt(k0), n_panels)
-    w15 = w15.reshape(npan, 15)
-    w7 = w7.reshape(npan, 15)
-    g = np.sqrt(2.0 * k0 - ts * ts)
-    xs = (k0 - ts * ts) if neg else (-k0 + ts * ts)
-    qs = ts * g
-    sp = splus_array(xs, rp)
-    if neg:
-        base = 2.0 * g / (sp * (K * K - xs * xs))
-        jump_h = None
-    else:
-        base = (2.0 * ts * ts / g) / (sp * (xs * xs - K * K))
-        jump_h = (a + 1j * qs) / (a - 1j * qs)
+    ts, w15, w7 = _fixed_nodes(0.0, math.sqrt(k0), n_panels)
+    zs, qs, amp, jump = segment(ts, rp)
 
-    # leg nodes on the unit-rate rational map u = s/(1-s);
-    # the per-sample factor e^{-u |R|} supplies the decay
-    phase_ray = ymax * min(30.0 / max(Rmin, 1e-3), 1e4)
-    n_ray = int(min(3000, max(24, math.ceil(phase_ray * 2.0 / PI))))
-    ss, v15, v7, nray = _fixed_nodes(0.0, 1.0 - 1e-6, n_ray)
-    v15 = v15.reshape(nray, 15)
-    v7 = v7.reshape(nray, 15)
-    u = ss / (1.0 - ss)
-    jac = 1.0 / (1.0 - ss) ** 2
-    vv = np.sqrt(k0 * k0 + u * u)
-    sp_leg = splus_array((1j if neg else -1j) * u, rp)
-    if neg:
-        leg_base = (k0 + 1j * u) / vv / ((u * u + K * K) * sp_leg) * jac
-        jump_v = None
-    else:
-        leg_base = (k0 - 1j * u) / vv / ((u * u + K * K) * sp_leg) * jac
-        jump_v = (a + 1j * vv) / (a - 1j * vv)
+    if not single:
+        # leg nodes on the unit-rate rational map u = s/(1-s); the
+        # per-R factor e^{zR} supplies the decay
+        phase_ray = ymax * min(30.0 / max(Rmin, 1e-3), 1e4)
+        n_ray = int(min(3000, max(24, math.ceil(phase_ray * 2.0 / PI))))
+        ss, v15, v7 = _fixed_nodes(0.0, 1.0 - 1e-6, n_ray)
+        z_leg, vv, amp_leg, jump_leg = leg(ss / (1.0 - ss), rp)
+        amp_leg = amp_leg * (1.0 / (1.0 - ss) ** 2)
 
     def pair(fv, wa, wb):
         rows = fv.reshape(-1, 15)
@@ -546,39 +531,27 @@ def _scan_region(rp: ReducedParams, R_vals: np.ndarray, y_vals: np.ndarray,
         s7 = (rows * wb).sum(axis=1)
         return s15.sum(), float(np.abs(s15 - s7).sum())
 
-    nR, ny = len(R_vals), len(y_vals)
-    out = np.empty((nR, ny), dtype=np.complex128)
-    err = np.empty((nR, ny))
+    out = np.empty((len(R_vals), len(y_vals)), dtype=np.complex128)
+    err = np.empty(out.shape)
     sc = abs(pref) / (2 * PI)
     for i, R in enumerate(R_vals):
-        osc_R = np.exp(-1j * xs * R)
-        osc_leg_R = np.exp(-abs(R) * u)
+        seg_R = amp * np.exp(zs * R)
+        if not single:
+            leg_R = amp_leg * np.exp(z_leg * R)
         for j, y in enumerate(y_vals):
             ay = abs(y)
-            if neg:
-                if single_exponential:
-                    oscy = np.exp(-1j * ay * qs)
+            m, em = pair(seg_R * _transverse(qs, ay, jump, single), w15, w7)
+            val = pref / (2 * PI) * m
+            e = sc * em
+            if not single:
+                lv, el = pair(leg_R * _transverse(vv, ay, jump_leg), v15, v7)
+                if method is Method.REGIONAL:
+                    e += sc * abs(lv)  # neglected leg, reported as psi_free does
                 else:
-                    oscy = 2.0 * np.cos(ay * qs)
-                m, em = pair(base * osc_R * oscy, w15, w7)
-                val = pref / (2 * PI) * m
-                e = sc * em
-                if not single_exponential and include_legs:
-                    lf = leg_base * osc_leg_R * (2.0 * np.cos(ay * vv))
-                    lv, el = pair(lf, v15, v7)
                     val += -1j * pref / (2 * PI) * lv
                     e += sc * el
-            else:
-                oscy = jump_h * np.exp(-1j * ay * qs) - np.exp(1j * ay * qs)
-                h, eh = pair(base * osc_R * oscy, w15, w7)
-                lf = leg_base * osc_leg_R * (np.exp(1j * ay * vv)
-                                             - jump_v * np.exp(-1j * ay * vv))
-                lv, el = pair(lf, v15, v7)
-                phi = pref / (2 * PI) * (-h + 1j * lv)
-                e = sc * (eh + el)
-                val = (cmath.exp(-1j * K * R - a * ay)
-                       + 2.0 * (a * a / (K + k0) ** 2) * sK * sK
-                       * cmath.exp(1j * K * R - a * ay) - phi)
+            if not neg:
+                val += _bound_pair(R, y, rp, sK)
             out[i, j] = val
             err[i, j] = e
     return out, err
@@ -592,85 +565,55 @@ def scan_grid(R_values: Iterable[float], y_values: Iterable[float],
     Uses fixed shared quadrature panels (plus-factor values computed once
     per grid) with the embedded-pair error estimate per sample; samples
     whose estimate exceeds tol are re-evaluated adaptively.  R = 0 is
-    excluded.  Deterministic: fixed panel layout and summation order.
+    excluded, R and y must be finite and tol positive.  Deterministic:
+    fixed panel layout and summation order.
     """
     R_vals = np.asarray(sorted(set(float(r) for r in R_values)))
     y_vals = np.asarray(sorted(set(float(v) for v in y_values)))
     if len(R_vals) == 0 or len(y_vals) == 0:
         raise ValueError("empty grid")
+    if not (np.isfinite(R_vals).all() and np.isfinite(y_vals).all()):
+        raise ValueError("R and y must be finite")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     if np.any(R_vals == 0.0):
         raise ValueError("R = 0 is excluded (region boundary)")
-    single = method is Method.APPROX_31
     if method in (Method.FAR_FIELD_32, Method.STEEPEST_35, Method.UNIFIED_A7):
         return _scan_special(R_vals, y_vals, rp, tol, method)
 
-    legs = method is Method.REGIONAL_WITH_VERTICAL_LEG
     out = np.empty((len(R_vals), len(y_vals)), dtype=np.complex128)
     err = np.empty_like(out, dtype=float)
     for mask in (R_vals < 0, R_vals > 0):
-        if not mask.any():
-            continue
-        vals, errs = _scan_region(rp, R_vals[mask], y_vals, tol, single,
-                                  include_legs=legs)
-        out[mask] = vals
-        err[mask] = errs
+        if mask.any():
+            out[mask], err[mask] = _scan_region(rp, R_vals[mask], y_vals,
+                                                method)
     conv = err <= tol
     # adaptive fallback for the stragglers
     for i, j in zip(*np.nonzero(~conv)):
         R, y = float(R_vals[i]), float(y_vals[j])
-        try:
-            if R < 0:
-                s = (psi_approx31(R, y, rp, tol) if single
-                     else psi_free(R, y, rp, tol, include_vertical_leg=legs))
-            else:
-                s = psi_atom(R, y, rp, tol)
-            out[i, j] = s.psi
-            err[i, j] = s.err_est
-            conv[i, j] = s.converged and s.err_est <= tol
-        except ValueError:
-            pass
+        if R > 0:
+            s = psi_atom(R, y, rp, tol)
+        elif method is Method.APPROX_31:
+            s = psi_approx31(R, y, rp, tol)
+        else:
+            s = psi_free(R, y, rp, tol, include_vertical_leg=method
+                         is Method.REGIONAL_WITH_VERTICAL_LEG)
+        out[i, j] = s.psi
+        err[i, j] = s.err_est
+        conv[i, j] = s.converged and s.err_est <= tol
     return WaveGrid(rp, R_vals, y_vals, out, method, tol, err, conv)
-
-
-def _worker_count() -> int:
-    import os
-    try:
-        return max(1, int(os.environ.get("WAVECUT_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _scan_special(R_vals, y_vals, rp, tol, method):
     out = np.empty((len(R_vals), len(y_vals)), dtype=np.complex128)
     err = np.zeros_like(out, dtype=float)
     conv = np.ones(out.shape, dtype=bool)
-    if method is Method.UNIFIED_A7:
-        # samples are independent; WAVECUT_WORKERS fans them out, and the
-        # indexed writes keep the assembled grid deterministic
-        from concurrent.futures import ThreadPoolExecutor
-        tasks = [(i, j, float(R), float(y))
-                 for i, R in enumerate(R_vals)
-                 for j, y in enumerate(y_vals)]
-
-        def run(task):
-            i, j, R, y = task
-            s = psi_unified_extrapolated(R, y, rp, tol=tol)
-            return i, j, s
-
-        nw = _worker_count()
-        if nw > 1:
-            with ThreadPoolExecutor(max_workers=nw) as pool:
-                results = list(pool.map(run, tasks))
-        else:
-            results = [run(t) for t in tasks]
-        for i, j, s in results:
-            out[i, j] = s.psi
-            err[i, j] = s.err_est
-            conv[i, j] = s.converged
-        return WaveGrid(rp, R_vals, y_vals, out, method, tol, err, conv)
     for i, R in enumerate(R_vals):
         for j, y in enumerate(y_vals):
-            if method is Method.FAR_FIELD_32:
+            if method is Method.UNIFIED_A7:
+                s = psi_unified_extrapolated(float(R), float(y), rp, tol=tol)
+                out[i, j], err[i, j], conv[i, j] = s.psi, s.err_est, s.converged
+            elif method is Method.FAR_FIELD_32:
                 out[i, j] = far_field(R, y, rp).psi if R < 0 else np.nan
             else:
                 out[i, j] = steepest_descent(R, y, rp) if R > 0 else np.nan

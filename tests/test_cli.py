@@ -96,6 +96,30 @@ def test_wavefunction_rejects_boundary(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--R", "nan:-1:2", "--y", "0:1:2"],
+    ["--R=-inf:-inf:1", "--y", "0:1:2"],
+    ["--R", "-2:-1:2", "--y", "0:1:2", "--tol", "0"],
+], ids=["R-nan", "R-inf", "tol-zero"])
+def test_wavefunction_rejects_invalid_input(tmp_path, args):
+    assert main(["wavefunction", *args, "--out", str(tmp_path)]) == 2
+
+
+def test_wavefunction_noleg_reports_leg(tmp_path):
+    # the neglected evanescent leg (~2e-2 here) is reported in err_est,
+    # so the sample is non-converged at the default tol
+    from wavecut.model import ReducedParams
+    from wavecut.wavefunction import psi_free
+    rc = main(["wavefunction", "--R", "-3:-3:1", "--y", "0:0:1",
+               "--method", "regional-noleg", "--out", str(tmp_path)])
+    assert rc == 3
+    _, rows = read_csv(tmp_path / "wavefunction.csv")
+    ref = psi_free(-3.0, 0.0, ReducedParams.from_a_k0(1.0, 2.0), tol=1e-6,
+                   include_vertical_leg=False)
+    assert float(rows[0][5]) == ref.err_est > 1e-2
+    assert rows[0][7] == "false"
+
+
 def test_wavefunction_unified_method(tmp_path):
     rc = main(["wavefunction", "--R", "-3:-3:1", "--y", "0:1:2",
                "--method", "unified", "--out", str(tmp_path)])

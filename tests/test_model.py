@@ -50,12 +50,12 @@ def test_reduce_domain_errors(bad):
 
 def test_branch_sqrt_anchors():
     # real k beyond the right branch point
-    assert branch_sqrt(3.0, RP).value == pytest.approx(math.sqrt(5.0))
+    assert branch_sqrt(3.0, RP) == pytest.approx(math.sqrt(5.0))
     # inside the segment: +i sqrt(k0^2 - k^2)
-    w = branch_sqrt(1.0, RP).value
+    w = branch_sqrt(1.0, RP)
     assert w == pytest.approx(1j * math.sqrt(3.0))
     # UHP continuation anchor at k = 2i: magnitude 2 sqrt2, phase +pi/2
-    w = branch_sqrt(2j, RP).value
+    w = branch_sqrt(2j, RP)
     assert w == pytest.approx(1j * 2.0 * math.sqrt(2.0))
 
 
@@ -68,14 +68,14 @@ def test_branch_sqrt_continuation_oracle():
     for k in path[1:]:
         cand = cmath.sqrt(k * k - 4.0)
         w = cand if abs(cand - w) < abs(-cand - w) else -cand
-    assert abs(w - branch_sqrt(2j, RP).value) < 1e-8
+    assert abs(w - branch_sqrt(2j, RP)) < 1e-8
 
 
 def test_branch_sqrt_continuity_on_segment_side():
     # approaching (-k0, k0) from the upper half plane matches the segment rule
     for x in (-1.5, -0.3, 0.7, 1.9):
-        up = branch_sqrt(complex(x, 1e-9), RP).value
-        seg = branch_sqrt(complex(x), RP).value
+        up = branch_sqrt(complex(x, 1e-9), RP)
+        seg = branch_sqrt(complex(x), RP)
         assert abs(up - seg) < 1e-8
         assert seg.real == pytest.approx(0.0, abs=1e-12)
         assert seg.imag > 0
@@ -103,7 +103,7 @@ def test_kernel_S_values_and_forms():
     rng = np.random.default_rng(8)
     for _ in range(50):
         k = complex(rng.uniform(-4, 4), rng.uniform(0.02, 4))
-        w = branch_sqrt(k, RP).value
+        w = branch_sqrt(k, RP)
         assert abs(kernel_S(k, RP) - w / (w + RP.a)) < 1e-12
     assert abs(kernel_S(1e7j, RP) - 1.0) < 1e-6
 

@@ -321,15 +321,34 @@ def test_tail_exponent_rejects_pure_exponential():
         tail_exponent(-10.0, RP, (1e-3, 1e-2))
 
 
+def _pointwise(R, y, method, tol):
+    if R > 0:
+        return psi_atom(R, y, RP, tol=tol)
+    if method is Method.APPROX_31:
+        return psi_approx31(R, y, RP, tol=tol)
+    return psi_free(R, y, RP, tol=tol, include_vertical_leg=method
+                    is Method.REGIONAL_WITH_VERTICAL_LEG)
+
+
 def test_scan_grid_matches_pointwise():
     Rs = [-6.0, -1.0, 2.0]
     ys = [0.0, 1.5, 4.0]
-    g = scan_grid(Rs, ys, RP, tol=1e-9)
-    for i, R in enumerate(g.R_values):
-        for j, y in enumerate(g.y_values):
-            ref = (psi_free if R < 0 else psi_atom)(float(R), float(y), RP,
-                                                    tol=1e-11)
-            assert abs(g.samples[i, j] - ref.psi) < 5e-8
+    tol = 1e-9
+    for method in (Method.REGIONAL_WITH_VERTICAL_LEG, Method.APPROX_31,
+                   Method.REGIONAL):
+        g = scan_grid(Rs, ys, RP, tol=tol, method=method)
+        for i, R in enumerate(g.R_values):
+            for j, y in enumerate(g.y_values):
+                R, y = float(R), float(y)
+                ref = _pointwise(R, y, method, 1e-11)
+                assert abs(g.samples[i, j] - ref.psi) < 5e-8
+                if method is Method.REGIONAL and R < 0:
+                    # the neglected leg is reported as psi_free reports it
+                    same = _pointwise(R, y, method, tol)
+                    assert g.err[i, j] == pytest.approx(same.err_est,
+                                                        rel=1e-12)
+                    assert g.converged[i, j] == (same.converged
+                                                 and same.err_est <= tol)
 
 
 def test_scan_grid_rejects_boundary():
@@ -337,13 +356,14 @@ def test_scan_grid_rejects_boundary():
         scan_grid([-1.0, 0.0], [0.0], RP)
 
 
-def test_unified_grid_worker_determinism(monkeypatch):
-    # WAVECUT_WORKERS fans samples out; indexed assembly keeps the grid
-    # bitwise identical to the serial result
-    monkeypatch.setenv("WAVECUT_WORKERS", "1")
-    g1 = scan_grid([-3.0, 2.0], [0.0, 1.0], RP, tol=1e-6,
-                   method=Method.UNIFIED_A7)
-    monkeypatch.setenv("WAVECUT_WORKERS", "4")
-    g4 = scan_grid([-3.0, 2.0], [0.0, 1.0], RP, tol=1e-6,
-                   method=Method.UNIFIED_A7)
-    assert np.array_equal(g1.samples, g4.samples)
+@pytest.mark.parametrize("R, y, tol", [
+    ([-1.0], [0.0], 0.0),
+    ([-1.0], [0.0], float("nan")),
+    ([float("nan")], [0.0], 1e-6),
+    ([float("inf")], [0.0], 1e-6),
+    ([float("-inf")], [0.0], 1e-6),
+    ([-1.0], [float("nan")], 1e-6),
+], ids=["tol-zero", "tol-nan", "R-nan", "R-inf", "R-minus-inf", "y-nan"])
+def test_scan_grid_rejects_invalid_input(R, y, tol):
+    with pytest.raises(ValueError):
+        scan_grid(R, y, RP, tol=tol)
