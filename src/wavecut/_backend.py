@@ -1,29 +1,12 @@
-"""Backend selection: compiled extension kernels when available, pure NumPy
-otherwise.
+"""The hot kernels under the names the library looks up at call time.
 
-Set WAVECUT_BACKEND=pure or WAVECUT_BACKEND=compiled to force a choice;
-forcing "compiled" raises if the extension was not built.
+Call sites reach ``S+``, ``Li2`` and ``Ti2`` as attributes of this module
+(``_backend.splus(...)``), not through names bound at import, so that a
+profiler or tracer can patch them here in one place.
 """
 
-from __future__ import annotations
+from ._purepy import dilog, splus, ti2
 
-import os
+BACKEND = "pure"
 
-_forced = os.environ.get("WAVECUT_BACKEND", "").strip().lower()
-
-if _forced == "pure":
-    from . import _purepy as impl
-elif _forced == "compiled":
-    from . import _kernels as impl  # type: ignore[no-redef]
-else:
-    try:
-        from . import _kernels as impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _purepy as impl
-
-BACKEND = impl.BACKEND_NAME
-
-dilog = impl.dilog
-ti2 = impl.ti2
-wsqrt = impl.wsqrt
-splus = impl.splus
+__all__ = ["BACKEND", "dilog", "splus", "ti2"]

@@ -1,9 +1,11 @@
-"""Pure-NumPy implementations of the numerical hot kernels.
+"""NumPy implementations of the numerical hot kernels.
 
 These are the routines that dominate runtime (complex dilogarithm, the
 Wiener-Hopf plus factor, branched square roots), vectorized over 1-D
-complex128 arrays.  A compiled twin with the same surface lives in
-``wavecut._kernels``; ``wavecut._backend`` picks whichever is available.
+complex128 arrays.  They are the only implementation; the rest of the
+package calls them through ``wavecut._backend``.  ``ti2`` reaches
+``dilog`` through this module's global name, so patching
+``_purepy.dilog`` also sees the dilogarithms inside ``S+``.
 
 Dilogarithm evaluation strategy:
 
@@ -20,8 +22,6 @@ Branch: principal, cut along [1, inf), continuous from below the cut.
 from __future__ import annotations
 
 import numpy as np
-
-BACKEND_NAME = "pure"
 
 _ZETA2 = np.pi * np.pi / 6.0
 _SERIES_TERMS = 135

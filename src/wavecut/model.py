@@ -55,10 +55,10 @@ class ReducedParams:
 
     @classmethod
     def from_a_k0(cls, a: float, k0: float) -> "ReducedParams":
-        if a < 0.0:
-            raise ValueError("decay constant a must be >= 0")
-        if k0 < 0.0:
-            raise ValueError("wavenumber k0 must be >= 0")
+        if not (math.isfinite(a) and a >= 0.0):
+            raise ValueError("decay constant a must be finite and >= 0")
+        if not (math.isfinite(k0) and k0 >= 0.0):
+            raise ValueError("wavenumber k0 must be finite and >= 0")
         return cls(a=float(a), k0=float(k0), K=math.hypot(a, k0))
 
 

@@ -19,29 +19,6 @@ SCHEMAS = {
     "asymptotics": ["R", "y", "re_psi", "im_psi", "abs2", "method"],
 }
 
-JSON_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["metadata", "columns"],
-    "properties": {
-        "metadata": {
-            "type": "object",
-            "required": ["artifact_version", "command", "column_names"],
-            "properties": {
-                "artifact_version": {"type": "string"},
-                "command": {"type": "string"},
-                "column_names": {"type": "array",
-                                 "items": {"type": "string"}},
-            },
-        },
-        "columns": {
-            "type": "object",
-            "additionalProperties": {"type": "array"},
-        },
-    },
-}
-
-
 def fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"

@@ -84,7 +84,7 @@ class QuadratureSpec:
     max_subdivisions: int = 4000
 
     def __post_init__(self):
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")

@@ -96,6 +96,15 @@ class AsymptoticPhases:
     xi: float
 
 
+def _check_inputs(R, y, tol: float) -> None:
+    """R and y (scalars or arrays) must be finite and tol positive; NaN
+    fails both checks."""
+    if not (np.isfinite(R).all() and np.isfinite(y).all()):
+        raise ValueError("R and y must be finite")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+
+
 def _pref(rp: ReducedParams) -> complex:
     return 2.0 * rp.a * rp.K * splus_at_K(rp) / (rp.K + rp.k0)
 
@@ -199,6 +208,7 @@ def _contour(R: float, y: float, rp: ReducedParams, tol: float,
     REGIONAL_WITH_VERTICAL_LEG adds the leg; REGIONAL reports its
     magnitude inside err_est instead; APPROX_31 is the one-sided segment
     alone."""
+    _check_inputs(R, y, tol)
     segment, leg = ((_free_segment, _free_leg) if R < 0
                     else (_atom_segment, _atom_leg))
     pref = _pref(rp)
@@ -231,8 +241,6 @@ def psi_free(R: float, y: float, rp: ReducedParams, tol: float = 1e-8,
     """
     if R >= 0.0:
         raise ValueError("psi_free requires R < 0")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     return _contour(R, y, rp, tol, Method.REGIONAL_WITH_VERTICAL_LEG
                     if include_vertical_leg else Method.REGIONAL)
 
@@ -314,7 +322,8 @@ def psi_unified(R: float, y: float, rp: ReducedParams, eps: float = 1e-3,
     """
     if R == 0.0:
         raise ValueError("the two contour closures degenerate at R = 0")
-    if eps <= 0.0:
+    _check_inputs(R, y, tol)
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     if eps < 2e-5 * max(rp.K, 1.0):
         raise ValueError("eps too small: pole distance below quadrature "
@@ -495,14 +504,13 @@ def _scan_region(rp: ReducedParams, R_vals: np.ndarray, y_vals: np.ndarray,
                  method: Method):
     """All-pairs evaluation for one sign of R on shared fixed panels: the
     piece amplitudes once per grid, e^{zR} once per R and the transverse
-    factor once per sample."""
+    factor once per sample.  APPROX_31 takes the one-sided segment alone
+    for R < 0; every other case is the full wrap with its leg."""
     k0 = rp.k0
     neg = bool(R_vals[0] < 0)
-    if not neg:
-        method = Method.REGIONAL_WITH_VERTICAL_LEG
     segment, leg = ((_free_segment, _free_leg) if neg
                     else (_atom_segment, _atom_leg))
-    single = method is Method.APPROX_31
+    single = neg and method is Method.APPROX_31
     Rmax = float(np.max(np.abs(R_vals)))
     Rmin = float(np.min(np.abs(R_vals)))
     ymax = float(np.max(np.abs(y_vals)))
@@ -545,11 +553,8 @@ def _scan_region(rp: ReducedParams, R_vals: np.ndarray, y_vals: np.ndarray,
             e = sc * em
             if not single:
                 lv, el = pair(leg_R * _transverse(vv, ay, jump_leg), v15, v7)
-                if method is Method.REGIONAL:
-                    e += sc * abs(lv)  # neglected leg, reported as psi_free does
-                else:
-                    val += -1j * pref / (2 * PI) * lv
-                    e += sc * el
+                val += -1j * pref / (2 * PI) * lv
+                e += sc * el
             if not neg:
                 val += _bound_pair(R, y, rp, sK)
             out[i, j] = val
@@ -564,7 +569,10 @@ def scan_grid(R_values: Iterable[float], y_values: Iterable[float],
 
     Uses fixed shared quadrature panels (plus-factor values computed once
     per grid) with the embedded-pair error estimate per sample; samples
-    whose estimate exceeds tol are re-evaluated adaptively.  R = 0 is
+    whose estimate exceeds tol are re-evaluated adaptively.  REGIONAL
+    samples with R < 0 are evaluated adaptively from the start: the
+    neglected leg they report in err_est exceeds any useful tol, so
+    fixed panels would only be redone.  R = 0 is
     excluded, R and y must be finite and tol positive.  Deterministic:
     fixed panel layout and summation order.
     """
@@ -572,23 +580,23 @@ def scan_grid(R_values: Iterable[float], y_values: Iterable[float],
     y_vals = np.asarray(sorted(set(float(v) for v in y_values)))
     if len(R_vals) == 0 or len(y_vals) == 0:
         raise ValueError("empty grid")
-    if not (np.isfinite(R_vals).all() and np.isfinite(y_vals).all()):
-        raise ValueError("R and y must be finite")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    _check_inputs(R_vals, y_vals, tol)
     if np.any(R_vals == 0.0):
         raise ValueError("R = 0 is excluded (region boundary)")
     if method in (Method.FAR_FIELD_32, Method.STEEPEST_35, Method.UNIFIED_A7):
         return _scan_special(R_vals, y_vals, rp, tol, method)
 
     out = np.empty((len(R_vals), len(y_vals)), dtype=np.complex128)
-    err = np.empty_like(out, dtype=float)
-    for mask in (R_vals < 0, R_vals > 0):
+    err = np.full(out.shape, np.inf)  # rows left at inf go pointwise
+    blocks = [R_vals > 0]
+    if method is not Method.REGIONAL:
+        blocks.append(R_vals < 0)
+    for mask in blocks:
         if mask.any():
             out[mask], err[mask] = _scan_region(rp, R_vals[mask], y_vals,
                                                 method)
     conv = err <= tol
-    # adaptive fallback for the stragglers
+    # adaptive evaluation of the stragglers and the REGIONAL R < 0 rows
     for i, j in zip(*np.nonzero(~conv)):
         R, y = float(R_vals[i]), float(y_vals[j])
         if R > 0:

@@ -48,6 +48,15 @@ def test_reduce_domain_errors(bad):
         reduce_params(bad)
 
 
+@pytest.mark.parametrize("a, k0", [
+    (float("nan"), 2.0), (float("inf"), 2.0),
+    (1.0, float("nan")), (1.0, float("inf")),
+])
+def test_from_a_k0_rejects_non_finite(a, k0):
+    with pytest.raises(ValueError):
+        ReducedParams.from_a_k0(a, k0)
+
+
 def test_branch_sqrt_anchors():
     # real k beyond the right branch point
     assert branch_sqrt(3.0, RP) == pytest.approx(math.sqrt(5.0))

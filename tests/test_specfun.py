@@ -32,6 +32,11 @@ def test_dilog_derived_path_quadrature():
 def test_dilog_against_mpmath_sweep():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-6, 6, 200) + 1j * rng.uniform(-6, 6, 200)
+    # the dispatch boundaries: |z| = 0.75, |1-z| = 0.75, |z| = 1.4 and the
+    # unit circle, where the log-series takes over
+    ring = np.exp(1j * (np.arange(48) + 0.5) * (2 * np.pi / 48))
+    pts = np.concatenate([pts, 0.75 * ring, 1.0 - 0.75 * ring, 1.4 * ring,
+                          ring])
     worst = 0.0
     for z in pts:
         ref = complex(mp.polylog(2, complex(z)))
@@ -41,7 +46,8 @@ def test_dilog_against_mpmath_sweep():
 
 def test_dilog_cut_side_from_below():
     # on [1, inf) the value is the limit from below: Im = -pi ln x
-    for x in (1.5, 2.5, 7.0):
+    # 1.74 and 1.76 straddle the switch from reflection to inversion
+    for x in (1.2, 1.45, 1.5, 1.74, 1.76, 2.5, 7.0, 9.0):
         v = dilog(x)
         assert v.imag == pytest.approx(-math.pi * math.log(x), abs=1e-13)
         below = complex(mp.polylog(2, complex(x, -1e-30)))

@@ -367,3 +367,26 @@ def test_scan_grid_rejects_boundary():
 def test_scan_grid_rejects_invalid_input(R, y, tol):
     with pytest.raises(ValueError):
         scan_grid(R, y, RP, tol=tol)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("route, R, y, kw", [
+    (psi_free, -1.0, NAN, {}),
+    (psi_free, NAN, 0.0, {}),
+    (psi_free, -1.0, 0.0, {"tol": NAN}),
+    (psi_free, -INF, 0.0, {}),
+    (psi_approx31, -1.0, INF, {}),
+    (psi_atom, INF, 0.0, {}),
+    (psi_atom, 1.0, 0.0, {"tol": 0.0}),
+    (phi_integral, 1.0, NAN, {}),
+    (psi_unified, NAN, 0.0, {}),
+    (psi_unified, -1.0, 0.0, {"tol": NAN}),
+    (psi_unified, -1.0, 0.0, {"eps": NAN}),
+], ids=["free-y-nan", "free-R-nan", "free-tol-nan", "free-R-minus-inf",
+        "approx31-y-inf", "atom-R-inf", "atom-tol-zero", "phi-y-nan",
+        "unified-R-nan", "unified-tol-nan", "unified-eps-nan"])
+def test_pointwise_routes_reject_invalid_input(route, R, y, kw):
+    with pytest.raises(ValueError, match="finite|positive"):
+        route(R, y, RP, **kw)

@@ -95,6 +95,13 @@ def test_splus_at_zero_closed_value():
     assert abs(wh.splus(0.0, RP) - want) < 1e-12
 
 
+def test_splus_modulus_on_segment():
+    # on 0 < x < k0 the exponent of the closed form is a pure phase
+    x = np.linspace(1e-6, RP.k0 - 1e-6, 500)
+    want = np.sqrt((x + RP.k0) / (x + K))
+    assert np.abs(np.abs(wh.splus_array(x, RP)) - want).max() < 1e-13
+
+
 def test_splus_confluence_guard():
     with pytest.raises(wh.ConfluenceError):
         wh.splus(K, RP)
