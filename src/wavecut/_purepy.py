@@ -3,18 +3,27 @@
 These are the routines that dominate runtime (complex dilogarithm, the
 Wiener-Hopf plus factor, branched square roots), vectorized over 1-D
 complex128 arrays.  They are the only implementation; the rest of the
-package calls them through ``wavecut._backend``.  ``ti2`` reaches
-``dilog`` through this module's global name, so patching
+package calls them through ``wavecut._backend``.  ``splus`` and ``ti2``
+reach ``dilog`` through this module's global name, so patching
 ``_purepy.dilog`` also sees the dilogarithms inside ``S+``.
 
-Dilogarithm evaluation strategy:
+Dilogarithm: the Bernoulli series in u = -ln(1 - v),
 
-* ``|z| <= 0.75``          -- defining power series sum z^n / n^2
-* ``|1 - z| <= 0.75``      -- reflection  Li2(z) = pi^2/6 - ln z ln(1-z) - Li2(1-z)
-* ``|z| >= 1.4``           -- inversion   Li2(z) = -Li2(1/z) - pi^2/6 - ln^2(-z)/2
-* otherwise                -- log-series about the unit circle,
-                              Li2(z) = pi^2/6 + u(1 - ln(-u)) + sum c_m u^m,
-                              u = ln z, convergent for |u| < 2 pi
+    Li2(v) = u - u^2/4 + sum_{n>=1} B_2n u^(2n+1) / (2n+1)!,
+
+after a map that brings v into Re v <= 1/2, |v| <= 1, where |u| <= pi/3
+and ten coefficients reach double precision ('t Hooft and Veltman,
+Nucl. Phys. B153 (1979) 365):
+
+* ``Re z <= 1/2, |z| <= 1``  -- direct, v = z
+* ``Re z > 1/2, |1-z| <= 1`` -- reflection, v = 1 - z,
+                                Li2(z) = pi^2/6 - ln z ln(1-z) - Li2(1-z)
+* otherwise                  -- inversion, v = 1/z,
+                                Li2(z) = -Li2(1/z) - pi^2/6 - ln^2(-z)/2
+
+The direct branch forms u with Kahan's correction,
+-ln(w) * (-z) / (w - 1) with w = fl(1 - z) (w - 1 is exact), which keeps
+the relative error near z = 0 at a few ulp; plain ln(1 - z) loses it.
 
 Branch: principal, cut along [1, inf), continuous from below the cut.
 """
@@ -24,96 +33,74 @@ from __future__ import annotations
 import numpy as np
 
 _ZETA2 = np.pi * np.pi / 6.0
-_SERIES_TERMS = 135
 
-# zeta(2 - m) / m! for the log-series; only m = 2 and odd m survive
-_LOG_COEFF = (
-    (2, -0.25),
-    (3, -0.013888888888888888),
-    (5, 6.944444444444444e-05),
-    (7, -7.873519778281683e-07),
-    (9, 1.1482216343327455e-08),
-    (11, -1.8978869988971e-10),
-    (13, 3.387301370953521e-12),
-    (15, -6.372636443183181e-14),
-    (17, 1.2462059912950672e-15),
-    (19, -2.5105444608999545e-17),
-    (21, 5.178258806090623e-19),
-    (23, -1.0887357368300849e-20),
-    (25, 2.325744114302087e-22),
-    (27, -5.03519521314739e-24),
-    (29, 1.1026499294381215e-25),
-    (31, -2.4386585509007344e-27),
-    (33, 5.440142678856253e-29),
-    (35, -1.2228340131217352e-30),
-    (37, 2.767263468967951e-32),
-    (39, -6.3000905918320136e-34),
-    (41, 1.4420868388418476e-35),
-    (43, -3.3170939991595428e-37),
-    (45, 7.663913557920658e-39),
-    (47, -1.7778714733830659e-40),
-    (49, 4.1396058982341375e-42),
-    (51, -9.671557036081102e-44),
-    (53, 2.2667187016766123e-45),
-    (55, -5.327956311328254e-47),
-)
+# B_2n / (2n+1)! for n = 9, ..., 1, highest first for Horner in u^2
+_BERNOULLI = (4.518980029619918e-16, -1.9939295860721074e-14,
+              8.921691020456452e-13, -4.0647616451442256e-11,
+              1.8978869988971e-09, -9.185773074661964e-08,
+              4.72411186696901e-06, -0.0002777777777777778,
+              0.027777777777777776)
+
+# points per dilog call inside S+: bounds the 4x-wide temporaries
+_SPLUS_BLOCK = 1024
 
 
-def _series(w: np.ndarray) -> np.ndarray:
-    # Horner evaluation of sum_{n>=1} w^n / n^2; caller guarantees |w| <= 0.75
-    acc = np.zeros_like(w)
-    for n in range(_SERIES_TERMS, 0, -1):
-        acc = acc * w + 1.0 / (n * n)
-    return acc * w
-
-
-def _logseries(z: np.ndarray) -> np.ndarray:
-    u = np.log(z)
-    acc = _ZETA2 + u * (1.0 - np.log(-u))
-    up = u
-    mlast = 1
-    for m, c in _LOG_COEFF:
-        up = up * u ** (m - mlast)
-        mlast = m
-        acc = acc + c * up
+def _bernoulli(u: np.ndarray) -> np.ndarray:
+    # Li2(1 - e^-u) = u - u^2/4 + sum_n B_2n u^(2n+1) / (2n+1)!, Horner
+    u2 = u * u
+    acc = u2 * _BERNOULLI[0] + _BERNOULLI[1]
+    for c in _BERNOULLI[2:]:
+        acc *= u2
+        acc += c
+    acc *= u
+    acc -= 0.25
+    acc *= u2
+    acc += u
     return acc
 
 
 def dilog(z: np.ndarray) -> np.ndarray:
     """Complex dilogarithm Li2 on a 1-D complex128 array."""
     z = np.ascontiguousarray(z, dtype=np.complex128)
-    out = np.empty_like(z)
 
-    # on-cut inputs take the from-below limit unless a -0.0 side was given
-    zim = z.imag.copy()
-    oncut = (zim == 0.0) & (z.real > 1.0) & ~np.signbit(zim)
+    # on-cut inputs take the limit from below
+    oncut = (z.imag == 0.0) & (z.real > 1.0)
     if oncut.any():
-        zim[oncut] = -0.0
-        z = z.real + 1j * 0.0
-        z.imag[:] = zim  # keep signed zeros
+        z = z.copy()
+        z.imag[oncut] = -0.0
 
+    x = z.real
+    n2 = x * x + z.imag * z.imag
     is_one = z == 1.0
-    az = np.abs(z)
-    m_ser = (az <= 0.75) & ~is_one
-    m_ref = ~m_ser & (np.abs(1.0 - z) <= 0.75) & ~is_one
-    m_inv = ~m_ser & ~m_ref & (az >= 1.4) & ~is_one
-    m_log = ~(m_ser | m_ref | m_inv | is_one)
+    m_dir = (x <= 0.5) & (n2 <= 1.0)
+    m_ref = (x > 0.5) & (n2 <= 2.0 * x) & ~is_one
+    m_inv = ~(m_dir | m_ref | is_one)
 
-    if is_one.any():
-        out[is_one] = _ZETA2
-    if m_ser.any():
-        out[m_ser] = _series(z[m_ser])
+    # each map runs on its own points; Li2 = B(u) on the direct ones and
+    # rest - B(u) on the others, z = 1 gives u = 0 and rest = pi^2/6
+    u = np.zeros_like(z)
+    rest = np.full_like(z, _ZETA2)
+    if m_dir.any():
+        v = z[m_dir]
+        w = 1.0 - v
+        wm1 = w - 1.0
+        exact = wm1 == 0.0
+        wm1[exact] = 1.0
+        ud = np.log(w) * (v / wm1)
+        ud[exact] = v[exact]
+        u[m_dir] = ud
     if m_ref.any():
-        w = z[m_ref]
-        om = 1.0 - w
-        out[m_ref] = _ZETA2 - np.log(w) * np.log(om) - _series(om)
+        v = z[m_ref]
+        lz = np.log(v)
+        u[m_ref] = -lz
+        rest[m_ref] = _ZETA2 - lz * np.log(1.0 - v)
     if m_inv.any():
-        w = z[m_inv]
-        lm = np.log(-w)
-        out[m_inv] = -_series(1.0 / w) - _ZETA2 - 0.5 * lm * lm
-    if m_log.any():
-        out[m_log] = _logseries(z[m_log])
-    return out
+        v = z[m_inv]
+        lm = np.log(-v)
+        u[m_inv] = -np.log(1.0 - 1.0 / v)
+        rest[m_inv] = -_ZETA2 - 0.5 * lm * lm
+    b = _bernoulli(u)
+    return np.where(m_dir, b, rest - b)
 
 
 def ti2(z: np.ndarray) -> np.ndarray:
@@ -134,12 +121,20 @@ def splus(k: np.ndarray, a: complex, k0: complex, K: complex) -> np.ndarray:
 
     S+(k) = sqrt((k+k0)/(k+K)) * exp[-(Ti2(z+) - Ti2(z-)) / pi],
     z+- = (i w(k) +- i a)/(K + k).  The exponent is even in w, so either
-    branch of the inner root gives the same value.
+    branch of the inner root gives the same value.  The four dilogarithms
+    of the two Ti2 go into one ``dilog`` call per block of
+    ``_SPLUS_BLOCK`` points.
     """
     k = np.ascontiguousarray(k, dtype=np.complex128)
-    w = wsqrt(k, k0)
-    denom = K + k
-    zp = 1j * (w + a) / denom
-    zm = 1j * (w - a) / denom
-    expo = -(ti2(zp) - ti2(zm)) / np.pi
-    return np.sqrt((k + k0) / denom) * np.exp(expo)
+    out = np.empty_like(k)
+    for s in range(0, k.size, _SPLUS_BLOCK):
+        kb = k[s:s + _SPLUS_BLOCK]
+        w = wsqrt(kb, k0)
+        denom = K + kb
+        zp = 1j * (w + a) / denom
+        zm = 1j * (w - a) / denom
+        d = dilog(np.concatenate((1j * zp, -1j * zp, 1j * zm, -1j * zm)))
+        d = d.reshape(4, kb.size)
+        expo = -((d[0] - d[1]) / 2j - (d[2] - d[3]) / 2j) / np.pi
+        out[s:s + _SPLUS_BLOCK] = np.sqrt((kb + k0) / denom) * np.exp(expo)
+    return out

@@ -67,7 +67,7 @@ class Method(Enum):
     APPROX_31 = "approx_31"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WaveSample:
     R: float
     y: float

@@ -53,7 +53,7 @@ class FactorMethod(Enum):
     J_INTEGRAL = "j_integral"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactorValue:
     k: complex
     splus: complex

@@ -32,11 +32,15 @@ def test_dilog_derived_path_quadrature():
 def test_dilog_against_mpmath_sweep():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-6, 6, 200) + 1j * rng.uniform(-6, 6, 200)
-    # the dispatch boundaries: |z| = 0.75, |1-z| = 0.75, |z| = 1.4 and the
-    # unit circle, where the log-series takes over
+    # the dispatch boundaries Re z = 1/2 (direct/reflection), the unit
+    # circle (direct/inversion) and |1-z| = 1 (reflection/inversion), and
+    # the rings |z| = 0.75, |1-z| = 0.75 and |z| = 1.4 inside the branches
     ring = np.exp(1j * (np.arange(48) + 0.5) * (2 * np.pi / 48))
+    im = 1j * np.linspace(-3.0, 3.0, 49)
+    half = [x + im for x in (np.nextafter(0.5, 0.0), 0.5,
+                             np.nextafter(0.5, 1.0))]
     pts = np.concatenate([pts, 0.75 * ring, 1.0 - 0.75 * ring, 1.4 * ring,
-                          ring])
+                          ring, 1.0 - ring, *half])
     worst = 0.0
     for z in pts:
         ref = complex(mp.polylog(2, complex(z)))
@@ -46,12 +50,26 @@ def test_dilog_against_mpmath_sweep():
 
 def test_dilog_cut_side_from_below():
     # on [1, inf) the value is the limit from below: Im = -pi ln x
-    # 1.74 and 1.76 straddle the switch from reflection to inversion
-    for x in (1.2, 1.45, 1.5, 1.74, 1.76, 2.5, 7.0, 9.0):
+    # 1.99, 2.0 and 2.01 straddle the switch from reflection to inversion
+    # at |1-x| = 1
+    for x in (1.2, 1.45, 1.5, 1.74, 1.76, 1.99, 2.0, 2.01, 2.5, 7.0, 9.0):
         v = dilog(x)
         assert v.imag == pytest.approx(-math.pi * math.log(x), abs=1e-13)
         below = complex(mp.polylog(2, complex(x, -1e-30)))
         assert abs(v - below) < 1e-13
+
+
+def test_dilog_relative_accuracy_near_zero():
+    # Li2(z) ~ z: the direct map must form -ln(1-z) without cancellation
+    rng = np.random.default_rng(21)
+    mod = 10.0 ** rng.uniform(-300.0, -3.0, 300)
+    z = mod * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 300))
+    z = np.concatenate([z, [1e-300, -1e-20, 3e-17, -2e-9j]])
+    out = dilog(z)
+    with mp.workdps(30):
+        ref = np.array([complex(mp.polylog(2, mp.mpc(c.real, c.imag)))
+                        for c in z])
+    assert np.max(np.abs(out - ref) / np.abs(ref)) < 2e-15
 
 
 def test_dilog_matches_series_inside_disk():

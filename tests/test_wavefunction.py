@@ -2,7 +2,9 @@
 far-field laws, and the diagnostics."""
 
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -66,6 +68,17 @@ def test_methods_recorded():
     assert psi_approx31(-2.0, 0.5, RP).method is Method.APPROX_31
     assert psi_atom(2.0, 0.5, RP).method is Method.REGIONAL_WITH_VERTICAL_LEG
     assert far_field(-50.0, 0.0, RP).method is Method.FAR_FIELD_32
+
+
+def test_result_records_round_trip():
+    # slotted frozen records: no per-instance dict, still pickle and copy
+    sample = psi_free(-2.0, 0.5, RP)
+    factor = wh.FactorValue(1.0 + 1.0j, wh.splus(1.0 + 1.0j, RP),
+                            wh.FactorMethod.CLOSED_FORM, 0.0)
+    for rec in (sample, factor):
+        assert not hasattr(rec, "__dict__")
+        assert pickle.loads(pickle.dumps(rec)) == rec
+        assert copy.copy(rec) == rec and copy.deepcopy(rec) == rec
 
 
 def test_total_reflection_segment_suppressed():

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from wavecut import _purepy
 from wavecut import wiener_hopf as wh
 from wavecut.model import ReducedParams
 from wavecut.specfun import dilog
@@ -100,6 +101,28 @@ def test_splus_modulus_on_segment():
     x = np.linspace(1e-6, RP.k0 - 1e-6, 500)
     want = np.sqrt((x + RP.k0) / (x + K))
     assert np.abs(np.abs(wh.splus_array(x, RP)) - want).max() < 1e-13
+
+
+def test_splus_blocks_match_pointwise(monkeypatch):
+    # S+ sends the four dilogarithms of each block of points to one dilog
+    # call; blocking must not change values, and the call count is what
+    # a tracer patched onto _purepy.dilog reports
+    rng = np.random.default_rng(17)
+    n = 5000
+    k = rng.uniform(-6.0, 6.0, n) + 1j * rng.uniform(0.0, 4.0, n)
+    k[::10] = k[::10].real
+    want = np.array([wh.splus(kk, RP) for kk in k])
+    calls = []
+    inner = _purepy.dilog
+    monkeypatch.setattr(_purepy, "dilog",
+                        lambda z: calls.append(z.size) or inner(z))
+    got = wh.splus_array(k, RP)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-15
+    for size in (1, 1024, 1025, n):
+        calls.clear()
+        wh.splus_array(k[:size], RP)
+        assert len(calls) == math.ceil(size / 1024)
+        assert sum(calls) == 4 * size
 
 
 def test_splus_confluence_guard():
