@@ -34,6 +34,7 @@ branch-point contribution decaying like |R|^(-1/2) which dominates the
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -43,11 +44,13 @@ import numpy as np
 
 from . import _backend
 from .model import ReducedParams
-from .quadrature import Kind, QuadratureSpec, integrate
+from .quadrature import _NODES, _W7, _W15, Kind, QuadratureSpec, integrate
 from .specfun import dilog, im_ti2, ti2
 from .wiener_hopf import splus_array, splus_at_K
 
 PI = math.pi
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "Method", "WaveSample", "WaveGrid", "AsymptoticPhases",
@@ -169,7 +172,8 @@ def _transverse(q: np.ndarray, ay: float, jump, single: bool = False):
     cut, e^{-i|y|q} for the one-sided APPROX_31 segment, and
     jump e^{-i|y|q} - e^{i|y|q} across the lower cut."""
     if jump is not None:
-        return jump * np.exp(-1j * ay * q) - np.exp(1j * ay * q)
+        e = np.exp(-1j * ay * q)   # |y| q is real on every piece
+        return jump * e - e.conj()
     if single:
         return np.exp(-1j * ay * q)
     return 2.0 * np.cos(ay * q)
@@ -433,6 +437,9 @@ def far_field(R: float, y: float, rp: ReducedParams) -> WaveSample:
     """
     if R >= 0.0:
         raise ValueError("far_field requires R < 0")
+    if not rp.k0 > 0.0:
+        raise ValueError("far_field requires k0 > 0: its amplitude grows "
+                         "like k0^(-1/2)")
     a, k0, K = rp.a, rp.k0, rp.K
     pm = (2.0 / PI) * im_ti2(complex(k0, a) / K)
     amp = a / (1j * PI * K * K * R * math.sqrt(2.0 * k0 * (K + k0)))
@@ -490,8 +497,12 @@ def psi_tail_saddle(R: float, y: float, rp: ReducedParams) -> complex:
 # grid evaluation (shared fixed panels, vectorized across samples)
 # ----------------------------------------------------------------------
 
+# elements per temporary in a block of _panel_sums: bounds peak memory
+# independently of the grid size
+_GRID_BLOCK = 8192
+
+
 def _fixed_nodes(t0: float, t1: float, n_panels: int):
-    from .quadrature import _NODES, _W15, _W7
     edges = np.linspace(t0, t1, n_panels + 1)
     c = 0.5 * (edges[:-1] + edges[1:])
     h = 0.5 * (edges[1:] - edges[:-1])
@@ -500,12 +511,46 @@ def _fixed_nodes(t0: float, t1: float, n_panels: int):
     return ts.ravel(), h[:, None] * _W15[None, :], h[:, None] * _W7[None, :]
 
 
+def _panel_sums(z, q, amp, jump, w15, w7, R_vals, ay, single=False):
+    """Sum over the fixed panels of one piece for every (R, y) pair.
+
+    Per block of nb panels, E = amp w e^{zR} (nb, nR, 15) and the
+    transverse factor T (nb, 15, ny) give the per-panel Kronrod and Gauss
+    sums K15, G7 (nb, nR, ny) as batched matrix products, so e^{zR} is
+    evaluated once per (R, node) and T once per (y, node); nb keeps each
+    of these temporaries near _GRID_BLOCK elements or below.  Returns
+    (sum_p K15_p, sum_p |K15_p - G7_p|), each of shape (nR, ny)."""
+    nR, ny = len(R_vals), len(ay)
+    shape = w15.shape                      # (panels, 15)
+    z, q, amp = z.reshape(shape), q.reshape(shape), amp.reshape(shape)
+    a15, a7 = amp * w15, amp * w7
+    if jump is not None:
+        jump = jump.reshape(shape)
+    nb = max(1, _GRID_BLOCK // max(15 * nR, 15 * ny, nR * ny))
+    Rc = R_vals[None, :, None]
+    val = np.zeros((nR, ny), dtype=np.complex128)
+    err = np.zeros((nR, ny))
+    for p in range(0, shape[0], nb):
+        b = slice(p, p + nb)
+        ezR = np.exp(z[b, None, :] * Rc)
+        T = _transverse(q[b, :, None], ay,
+                        None if jump is None else jump[b, :, None], single)
+        k15 = (a15[b, None, :] * ezR) @ T
+        g7 = (a7[b, None, :] * ezR) @ T
+        val += k15.sum(axis=0)
+        err += np.abs(k15 - g7).sum(axis=0)
+    return val, err
+
+
 def _scan_region(rp: ReducedParams, R_vals: np.ndarray, y_vals: np.ndarray,
                  method: Method):
     """All-pairs evaluation for one sign of R on shared fixed panels: the
-    piece amplitudes once per grid, e^{zR} once per R and the transverse
-    factor once per sample.  APPROX_31 takes the one-sided segment alone
-    for R < 0; every other case is the full wrap with its leg."""
+    piece nodes and amplitudes once per grid, then per bounded block of
+    panels e^{zR} once per (R, node), the transverse factor once per
+    (y, node) and the panel sums as matrix products (_panel_sums); the
+    R > 0 bound pair is an (R) x (y) outer product.  APPROX_31 takes the
+    one-sided segment alone for R < 0; every other case is the full wrap
+    with its leg."""
     k0 = rp.k0
     neg = bool(R_vals[0] < 0)
     segment, leg = ((_free_segment, _free_leg) if neg
@@ -513,17 +558,19 @@ def _scan_region(rp: ReducedParams, R_vals: np.ndarray, y_vals: np.ndarray,
     single = neg and method is Method.APPROX_31
     Rmax = float(np.max(np.abs(R_vals)))
     Rmin = float(np.min(np.abs(R_vals)))
-    ymax = float(np.max(np.abs(y_vals)))
+    ay = np.abs(y_vals)
+    ymax = float(np.max(ay))
     pref = _pref(rp)
-    sK = splus_at_K(rp) if not neg else None
 
     # quarter-wavelength initial panels for the worst sample of the grid
     rate = 2.0 * math.sqrt(k0) * Rmax + 2.0 * math.sqrt(2 * k0) * ymax
     n_panels = int(min(6000, max(24, math.ceil(
         math.sqrt(k0) * rate * 2.0 / PI))))
     ts, w15, w7 = _fixed_nodes(0.0, math.sqrt(k0), n_panels)
-    zs, qs, amp, jump = segment(ts, rp)
-
+    m, em = _panel_sums(*segment(ts, rp), w15, w7, R_vals, ay, single)
+    out = pref / (2 * PI) * m
+    sc = abs(pref) / (2 * PI)
+    err = sc * em
     if not single:
         # leg nodes on the unit-rate rational map u = s/(1-s); the
         # per-R factor e^{zR} supplies the decay
@@ -532,33 +579,14 @@ def _scan_region(rp: ReducedParams, R_vals: np.ndarray, y_vals: np.ndarray,
         ss, v15, v7 = _fixed_nodes(0.0, 1.0 - 1e-6, n_ray)
         z_leg, vv, amp_leg, jump_leg = leg(ss / (1.0 - ss), rp)
         amp_leg = amp_leg * (1.0 / (1.0 - ss) ** 2)
-
-    def pair(fv, wa, wb):
-        rows = fv.reshape(-1, 15)
-        s15 = (rows * wa).sum(axis=1)
-        s7 = (rows * wb).sum(axis=1)
-        return s15.sum(), float(np.abs(s15 - s7).sum())
-
-    out = np.empty((len(R_vals), len(y_vals)), dtype=np.complex128)
-    err = np.empty(out.shape)
-    sc = abs(pref) / (2 * PI)
-    for i, R in enumerate(R_vals):
-        seg_R = amp * np.exp(zs * R)
-        if not single:
-            leg_R = amp_leg * np.exp(z_leg * R)
-        for j, y in enumerate(y_vals):
-            ay = abs(y)
-            m, em = pair(seg_R * _transverse(qs, ay, jump, single), w15, w7)
-            val = pref / (2 * PI) * m
-            e = sc * em
-            if not single:
-                lv, el = pair(leg_R * _transverse(vv, ay, jump_leg), v15, v7)
-                val += -1j * pref / (2 * PI) * lv
-                e += sc * el
-            if not neg:
-                val += _bound_pair(R, y, rp, sK)
-            out[i, j] = val
-            err[i, j] = e
+        lv, el = _panel_sums(z_leg, vv, amp_leg, jump_leg, v15, v7,
+                             R_vals, ay)
+        out += -1j * pref / (2 * PI) * lv
+        err += sc * el
+    if not neg:
+        sK = splus_at_K(rp)
+        pair_R = np.array([_bound_pair(R, 0.0, rp, sK) for R in R_vals])
+        out += np.multiply.outer(pair_R, np.exp(-rp.a * ay))
     return out, err
 
 
@@ -567,14 +595,17 @@ def scan_grid(R_values: Iterable[float], y_values: Iterable[float],
               method: Method = Method.REGIONAL_WITH_VERTICAL_LEG) -> WaveGrid:
     """Evaluate psi on the product grid R_values x y_values.
 
-    Uses fixed shared quadrature panels (plus-factor values computed once
-    per grid) with the embedded-pair error estimate per sample; samples
-    whose estimate exceeds tol are re-evaluated adaptively.  REGIONAL
-    samples with R < 0 are evaluated adaptively from the start: the
-    neglected leg they report in err_est exceeds any useful tol, so
-    fixed panels would only be redone.  R = 0 is
-    excluded, R and y must be finite and tol positive.  Deterministic:
-    fixed panel layout and summation order.
+    Uses fixed shared quadrature panels with the embedded-pair error
+    estimate per sample: the plus-factor values once per grid, e^{zR} once
+    per (R, node) and the transverse factor once per (y, node), with the
+    panel sums taken as matrix products over blocks of panels whose
+    temporaries stay below a fixed size.  Samples whose estimate exceeds
+    tol are re-evaluated adaptively; each call that does so logs one INFO
+    record counting them.  REGIONAL samples with R < 0 are evaluated
+    adaptively from the start: the neglected leg they report in err_est
+    exceeds any useful tol, so fixed panels would only be redone.  R = 0
+    is excluded, R and y must be finite and tol positive.  Deterministic:
+    fixed panel layout, block size and summation order.
     """
     R_vals = np.asarray(sorted(set(float(r) for r in R_values)))
     y_vals = np.asarray(sorted(set(float(v) for v in y_values)))
@@ -588,16 +619,21 @@ def scan_grid(R_values: Iterable[float], y_values: Iterable[float],
 
     out = np.empty((len(R_vals), len(y_vals)), dtype=np.complex128)
     err = np.full(out.shape, np.inf)  # rows left at inf go pointwise
-    blocks = [R_vals > 0]
+    regions = [R_vals > 0]
     if method is not Method.REGIONAL:
-        blocks.append(R_vals < 0)
-    for mask in blocks:
+        regions.append(R_vals < 0)
+    for mask in regions:
         if mask.any():
             out[mask], err[mask] = _scan_region(rp, R_vals[mask], y_vals,
                                                 method)
     conv = err <= tol
     # adaptive evaluation of the stragglers and the REGIONAL R < 0 rows
-    for i, j in zip(*np.nonzero(~conv)):
+    redo = np.nonzero(~conv)
+    if len(redo[0]):
+        _log.info("scan_grid: %d of %d samples re-evaluated adaptively "
+                  "(method %s, tol %g)", len(redo[0]), out.size,
+                  method.value, tol)
+    for i, j in zip(*redo):
         R, y = float(R_vals[i]), float(y_vals[j])
         if R > 0:
             s = psi_atom(R, y, rp, tol)

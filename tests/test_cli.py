@@ -151,13 +151,15 @@ def test_json_output_schema(tmp_path):
 
 
 def test_byte_stability(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for d in (a, b):
-        rc = main(["wavefunction", "--R", "-5:-1:5", "--y", "0:3:7",
-                   "--out", str(d)])
-        assert rc == 0
-    assert (a / "wavefunction.csv").read_bytes() == \
-        (b / "wavefunction.csv").read_bytes()
+    # R < 0 only, and a mixed-sign window (leg, R > 0 bound pair, +-y)
+    for k, (R, y) in enumerate([("-5:-1:5", "0:3:7"),
+                                ("-3.5:4.5:9", "-1:2:7")]):
+        a, b = tmp_path / f"a{k}", tmp_path / f"b{k}"
+        for d in (a, b):
+            rc = main(["wavefunction", "--R", R, "--y", y, "--out", str(d)])
+            assert rc == 0
+        assert (a / "wavefunction.csv").read_bytes() == \
+            (b / "wavefunction.csv").read_bytes()
 
 
 def test_asymptotics_far32(tmp_path):

@@ -3,12 +3,15 @@ far-field laws, and the diagnostics."""
 
 import cmath
 import copy
+import logging
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wavecut import wavefunction as wf
 from wavecut import wiener_hopf as wh
 from wavecut.model import ReducedParams, reflection
 from wavecut.wavefunction import (Method, expected_displacement, far_field,
@@ -223,6 +226,14 @@ def test_far_field_modulus_y_independent():
     assert (max(mods) - min(mods)) / mods[0] < 1e-12
 
 
+def test_far_field_rejects_k0_zero():
+    rp0 = ReducedParams.from_a_k0(1.0, 0.0)
+    with pytest.raises(ValueError, match="k0 > 0"):
+        far_field(-50.0, 0.0, rp0)
+    with pytest.raises(ValueError, match="k0 > 0"):
+        scan_grid([-50.0], [0.0], rp0, method=Method.FAR_FIELD_32)
+
+
 @pytest.mark.xfail(strict=True,
                    reason="the exact free-region field carries a "
                           "branch-point term ~|R|^-1/2 which dominates the "
@@ -362,6 +373,49 @@ def test_scan_grid_matches_pointwise():
                                                         rel=1e-12)
                     assert g.converged[i, j] == (same.converged
                                                  and same.err_est <= tol)
+
+
+@pytest.mark.parametrize("method", [Method.REGIONAL_WITH_VERTICAL_LEG,
+                                    Method.APPROX_31])
+def test_scan_grid_block_independence(monkeypatch, method):
+    # the default block holds every panel of this grid; 7 panels per
+    # block leaves a ragged last block on each piece (25 and 24 segment,
+    # 60 and 80 leg panels) and 1 panel per block is the other extreme
+    Rs = [-6.0, -2.5, -0.8, 0.6, 1.5, 4.0]
+    ys = [-1.2, 0.0, 0.7, 2.5]
+    ref = scan_grid(Rs, ys, RP, tol=1e-6, method=method)
+    per_panel = 15 * len(ys)       # largest temporary per panel here
+    for nb in (7, 1):
+        monkeypatch.setattr(wf, "_GRID_BLOCK", nb * per_panel)
+        g = scan_grid(Rs, ys, RP, tol=1e-6, method=method)
+        np.testing.assert_allclose(g.samples, ref.samples, rtol=1e-15,
+                                   atol=0.0)
+        np.testing.assert_allclose(g.err, ref.err, rtol=1e-14, atol=0.0)
+        assert (g.converged == ref.converged).all()
+
+
+def test_scan_grid_memory_bounded():
+    # blocks of panels keep the temporaries small: about 1.5 MiB here,
+    # where one (panels, R, y) tensor of the 900-panel legs is ~60 MiB
+    Rs, ys = np.linspace(-8.0, 8.0, 64), np.linspace(-3.0, 3.0, 64)
+    scan_grid(Rs, ys, RP, tol=1e-6)
+    tracemalloc.start()
+    try:
+        scan_grid(Rs, ys, RP, tol=1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_scan_grid_logs_fallbacks(caplog):
+    caplog.set_level(logging.INFO, logger="wavecut.wavefunction")
+    scan_grid([-2.0, 1.0], [0.0, 1.0], RP, tol=1e-6)
+    assert not caplog.records
+    # REGIONAL R < 0 samples always go adaptive; the R > 0 row does not
+    scan_grid([-2.0, 1.0], [0.0, 1.0], RP, tol=1e-6, method=Method.REGIONAL)
+    assert len(caplog.records) == 1
+    assert "2 of 4 samples" in caplog.records[0].getMessage()
 
 
 def test_scan_grid_rejects_boundary():
