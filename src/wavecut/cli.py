@@ -16,7 +16,7 @@ import cmath
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +36,6 @@ _METHODS = {
     "regional-noleg": Method.REGIONAL,
     "approx31": Method.APPROX_31,
     "unified": Method.UNIFIED_A7,
-    "far32": Method.FAR_FIELD_32,
-    "sd35": Method.STEEPEST_35,
 }
 
 
@@ -60,8 +58,6 @@ class RunConfig:
     fmt: str
     out: Path
     method: Method = Method.REGIONAL_WITH_VERTICAL_LEG
-    eps: float = 1e-3
-    extra: dict = field(default_factory=dict)
 
 
 def parse_grid(text: str) -> np.ndarray:
@@ -98,7 +94,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             cfg.update(json.loads(Path(path).read_text()))
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"config file {path}: {exc}") from exc
-    for key in ("a", "k0", "tol", "format", "eps"):
+    for key in ("a", "k0", "tol", "format"):
         v = getattr(args, key if key != "format" else "fmt", None)
         if v is not None:
             cfg[key] = v
@@ -113,8 +109,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     out = Path(getattr(args, "out", None) or ".")
     method = _METHODS[getattr(args, "method", None) or "regional"]
     return RunConfig(params=rp, tol=float(cfg["tol"]), fmt=str(cfg["format"]),
-                     out=out, method=method,
-                     eps=float(cfg.get("eps", 1e-3)))
+                     out=out, method=method)
 
 
 def _metadata(cfg: RunConfig, command: str) -> dict:
@@ -330,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid start:stop:count, inclusive at both ends")
     q.add_argument("--method", choices=sorted(_METHODS),
                    help="evaluation route (default regional)")
-    q.add_argument("--eps", type=float,
-                   help="Im k0 for the unified route (default 1e-3)")
     q.set_defaults(fn=cmd_wavefunction)
 
     q = sub.add_parser("figures", help="emit the standard figure data sets")

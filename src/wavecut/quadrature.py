@@ -1,17 +1,18 @@
 """Adaptive complex-valued quadrature with an embedded Gauss-Kronrod pair.
 
-One engine serves every integral in the package: finite intervals with
-integrable endpoint singularities (removed exactly by power substitution
-before any adaptivity), oscillatory integrands (initial panel width capped
-at a quarter of the hinted wavelength), and semi-infinite decaying rays
-(rational map s/(1-s) graded by the decay rate).
+One engine serves every integral in the package: finite intervals of
+smooth integrands (the contour pieces remove their endpoint roots by
+substitution before they get here), oscillatory integrands (initial panel
+width capped at a quarter of the hinted wavelength), and semi-infinite
+decaying rays (rational map s/(1-s) graded by the decay rate).
 
 Each panel is evaluated with the 15-point Kronrod rule; the embedded
 7-point Gauss value provides the per-panel error estimate |K15 - G7|.
-Panels are bisected worst-first.  The final sum runs over panels sorted by
-position using math.fsum, so results are bit-reproducible for a fixed
-configuration.  Integrands receive a 1-D float64 array of abscissae and
-must return complex128 values of the same length.
+Panels are bisected worst-first, up to _BATCH per sweep.  The final sum
+runs over panels sorted by position using math.fsum, so results are
+bit-reproducible for a fixed configuration.  Integrands receive a 1-D
+float64 array of abscissae and must return complex128 values of the same
+length.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ _W15 = np.concatenate([_WGK[:7], _WGK[::-1]])
 _W7 = np.zeros(15)
 _W7[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])
 
+# worst-first panels refined per adaptive sweep
+_BATCH = 64
+
 
 class Kind(Enum):
     FINITE = "finite"
@@ -72,13 +76,11 @@ class QuadratureSpec:
 
     For FINITE, ``endpoints`` is (a, b).  For DECAYING_RAY it is
     (start, direction, rate): the path start + direction*u, u >= 0, with
-    integrand decay ~exp(-rate*u).  ``singularity_hints`` lists endpoint
-    singularities (location, exponent) with exponent in (-1, 0);
-    ``oscillation_hint`` is a wavelength scale.
+    integrand decay ~exp(-rate*u).  ``oscillation_hint`` is a wavelength
+    scale.
     """
     kind: Kind
     endpoints: tuple
-    singularity_hints: tuple = ()
     oscillation_hint: Optional[float] = None
     tol: float = 1e-10
     max_subdivisions: int = 4000
@@ -88,9 +90,6 @@ class QuadratureSpec:
             raise ValueError("tol must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        for loc, p in self.singularity_hints:
-            if not (-1.0 < p < 0.0):
-                raise ValueError(f"singularity exponent {p} not in (-1, 0)")
 
 
 @dataclass
@@ -109,29 +108,10 @@ class _Piece:
     xmap: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
     xspan: float
-    width_factor: float = 1.0  # worst panel x-width over uniform-t width
 
 
 def _identity_piece(a: float, b: float) -> _Piece:
     return _Piece(a, b, lambda t: t, lambda t: np.ones_like(t), abs(b - a))
-
-
-def _sub_piece(edge: float, other: float, p: float) -> _Piece:
-    """Endpoint singularity (x-edge)^p removed by x = edge +- t^m."""
-    m = max(2, math.ceil(1.0 / (1.0 + p)))
-    span = abs(other - edge)
-    tmax = span ** (1.0 / m)
-    sgn = 1.0 if other > edge else -1.0
-
-    def xmap(t: np.ndarray) -> np.ndarray:
-        return edge + sgn * t ** m
-
-    def jac(t: np.ndarray) -> np.ndarray:
-        # orientation flip for a right-endpoint map cancels the sign of
-        # dx/dt, so the weight is +m t^(m-1) for either edge
-        return m * t ** (m - 1) + 0.0 * t
-
-    return _Piece(0.0, tmax, xmap, jac, span, width_factor=float(m))
 
 
 def _ray_piece(start: float, direction: float, rate: float) -> _Piece:
@@ -150,30 +130,18 @@ def _ray_piece(start: float, direction: float, rate: float) -> _Piece:
     return _Piece(0.0, s_hi, xmap, jac, 30.0 / rate)
 
 
-def _build_pieces(spec: QuadratureSpec) -> list[_Piece]:
+def _build_piece(spec: QuadratureSpec) -> Optional[_Piece]:
+    """The one smooth piece of the spec, None for an empty interval."""
     if spec.kind is Kind.DECAYING_RAY:
         start, direction, rate = spec.endpoints
-        return [_ray_piece(start, direction, rate)]
+        return _ray_piece(start, direction, rate)
 
     a, b = spec.endpoints
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("FINITE endpoints must be finite")
     if a == b:
-        return []
-    hints = {float(loc): p for loc, p in spec.singularity_hints}
-    ha = hints.get(float(a))
-    hb = hints.get(float(b))
-    unknown = set(hints) - {float(a), float(b)}
-    if unknown:
-        raise ValueError(f"singularity hints must sit at endpoints: {unknown}")
-    if ha is None and hb is None:
-        return [_identity_piece(a, b)]
-    if ha is not None and hb is None:
-        return [_sub_piece(a, b, ha)]
-    if ha is None and hb is not None:
-        return [_sub_piece(b, a, hb)]
-    mid = 0.5 * (a + b)
-    return [_sub_piece(a, mid, ha), _sub_piece(b, mid, hb)]
+        return None
+    return _identity_piece(a, b)
 
 
 def _initial_panels(piece: _Piece, spec: QuadratureSpec,
@@ -182,8 +150,7 @@ def _initial_panels(piece: _Piece, spec: QuadratureSpec,
         n = max(1, int(override))
     elif spec.oscillation_hint is not None and spec.oscillation_hint > 0:
         cap = spec.oscillation_hint / 4.0
-        n = int(min(16384, max(2, math.ceil(piece.width_factor * piece.xspan
-                                            / cap))))
+        n = int(min(16384, max(2, math.ceil(piece.xspan / cap))))
     else:
         n = 8
     return np.linspace(piece.t0, piece.t1, n + 1)
@@ -203,8 +170,7 @@ def _eval_panels(f, piece: _Piece, los: np.ndarray, his: np.ndarray):
 
 
 def integrate(f, spec: QuadratureSpec, *,
-              initial_panels: Optional[int] = None,
-              batch: int = 64) -> QuadResult:
+              initial_panels: Optional[int] = None) -> QuadResult:
     """Integrate a complex-valued vectorized integrand.
 
     Parameters
@@ -213,10 +179,8 @@ def integrate(f, spec: QuadratureSpec, *,
         Maps a float64 array of abscissae to complex values.
     spec : QuadratureSpec
     initial_panels : int, optional
-        Override the initial panel count per smooth piece (testing hook:
-        results must be stable under halving/doubling).
-    batch : int
-        Worst-first panels refined per adaptive sweep.
+        Override the initial panel count (testing hook: results must be
+        stable under halving/doubling).
 
     Returns
     -------
@@ -224,21 +188,24 @@ def integrate(f, spec: QuadratureSpec, *,
         Non-convergence is reported, not raised: converged=False with the
         best value and the achieved error estimate.
     """
-    pieces = _build_pieces(spec)
-    if not pieces:
+    piece = _build_piece(spec)
+    if piece is None:
         return QuadResult(0j, 0.0, 0, True)
 
     heap: list = []
     counter = 0
     evals = 0
-    for ip, piece in enumerate(pieces):
-        edges = _initial_panels(piece, spec, initial_panels)
-        vals, errs, n = _eval_panels(f, piece, edges[:-1], edges[1:])
+
+    def push(los: np.ndarray, his: np.ndarray) -> None:
+        nonlocal counter, evals
+        vals, errs, n = _eval_panels(f, piece, los, his)
         evals += n
         for j in range(len(vals)):
-            heapq.heappush(heap, (-errs[j], counter, ip, edges[j],
-                                  edges[j + 1], vals[j]))
+            heapq.heappush(heap, (-errs[j], counter, los[j], his[j], vals[j]))
             counter += 1
+
+    edges = _initial_panels(piece, spec, initial_panels)
+    push(edges[:-1], edges[1:])
 
     splits = 0
     while splits < spec.max_subdivisions:
@@ -246,7 +213,7 @@ def integrate(f, spec: QuadratureSpec, *,
         if total_err <= spec.tol:
             break
         todo = []
-        while heap and len(todo) < batch:
+        while heap and len(todo) < _BATCH:
             item = heapq.heappop(heap)
             if -item[0] <= spec.tol / (4 * (len(heap) + len(todo) + 1)):
                 heapq.heappush(heap, item)
@@ -257,36 +224,25 @@ def integrate(f, spec: QuadratureSpec, *,
         keep = []
         frozen = []
         for item in todo:
-            _, _, ip, lo, hi, _ = item
+            _, _, lo, hi, _ = item
             if hi - lo < 1e-14 * max(1.0, abs(hi), abs(lo)):
                 frozen.append(item)  # machine-width panel: cannot split
                 continue
             mid = 0.5 * (lo + hi)
-            keep.append((ip, lo, mid))
-            keep.append((ip, mid, hi))
+            keep.append((lo, mid))
+            keep.append((mid, hi))
             splits += 1
         for item in frozen:
             heapq.heappush(heap, item)
         if not keep:
             break  # nothing left that can be refined
-        by_piece: dict[int, list] = {}
-        for ip, lo, hi in keep:
-            by_piece.setdefault(ip, []).append((lo, hi))
-        for ip, bounds in by_piece.items():
-            los = np.array([b[0] for b in bounds])
-            his = np.array([b[1] for b in bounds])
-            vals, errs, n = _eval_panels(f, pieces[ip], los, his)
-            evals += n
-            for j in range(len(vals)):
-                heapq.heappush(heap, (-errs[j], counter, ip, los[j],
-                                      his[j], vals[j]))
-                counter += 1
+        push(np.array([b[0] for b in keep]), np.array([b[1] for b in keep]))
 
-    panels = sorted(heap, key=lambda it: (it[2], it[3]))
-    re = math.fsum(it[5].real for it in panels)
-    im = math.fsum(it[5].imag for it in panels)
+    panels = sorted(heap, key=lambda it: it[2])
+    re = math.fsum(it[4].real for it in panels)
+    im = math.fsum(it[4].imag for it in panels)
     err = math.fsum(-it[0] for it in panels)
     # roundoff floor: accumulated double-precision noise over the panels
-    abs_sum = math.fsum(abs(it[5]) for it in panels)
+    abs_sum = math.fsum(abs(it[4]) for it in panels)
     err += 100.0 * 2.220446049250313e-16 * abs_sum
     return QuadResult(complex(re, im), err, evals, err <= spec.tol)

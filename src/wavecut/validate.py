@@ -131,11 +131,6 @@ def checks_quadrature() -> list[CheckResult]:
                   QuadratureSpec(Kind.FINITE, (0.0, 1.0), tol=1e-13))
     out.append(CheckResult("quadrature", "int_0^1 1 dx = 1",
                            abs(r.value - 1.0), 1e-13))
-    r = integrate(lambda x: 1.0 / np.sqrt(1.0 - x) + 0j,
-                  QuadratureSpec(Kind.FINITE, (0.0, 1.0),
-                                 singularity_hints=((1.0, -0.5),), tol=1e-12))
-    out.append(CheckResult("quadrature", "endpoint 1/sqrt singularity -> 2",
-                           abs(r.value - 2.0), 1e-11))
     r = integrate(lambda t: np.exp(-t) + 0j,
                   QuadratureSpec(Kind.DECAYING_RAY, (0.0, 1.0, 1.0),
                                  tol=1e-12))

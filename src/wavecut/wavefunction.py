@@ -66,7 +66,6 @@ class Method(Enum):
     REGIONAL_WITH_VERTICAL_LEG = "regional_with_vertical_leg"
     UNIFIED_A7 = "unified_a7"
     FAR_FIELD_32 = "far_field_32"
-    STEEPEST_35 = "steepest_35"
     APPROX_31 = "approx_31"
 
 
@@ -108,6 +107,14 @@ def _check_inputs(R, y, tol: float) -> None:
         raise ValueError("tol must be positive")
 
 
+def _require_k0(rp: ReducedParams, route: str) -> None:
+    """The unified line, the saddle and the far-field laws need an open
+    branch-cut gap: at k0 = 0 their closed forms divide by k0 or put Ti2
+    on its cut."""
+    if not rp.k0 > 0.0:
+        raise ValueError(f"{route} requires k0 > 0")
+
+
 def _pref(rp: ReducedParams) -> complex:
     return 2.0 * rp.a * rp.K * splus_at_K(rp) / (rp.K + rp.k0)
 
@@ -136,8 +143,10 @@ def _free_segment(t: np.ndarray, rp: ReducedParams):
     """Upper cut, both sides: x = k0 - t^2 over t in (0, sqrt(k0))."""
     g = np.sqrt(2.0 * rp.k0 - t * t)
     x = rp.k0 - t * t
-    amp = 2.0 * g / (splus_array(x, rp) * (rp.K * rp.K - x * x))
-    return -1j * x, t * g, amp, None
+    q = t * g
+    # K^2 - x^2 = a^2 + q^2, free of cancellation as a -> 0
+    amp = 2.0 * g / (splus_array(x, rp) * (rp.a * rp.a + q * q))
+    return -1j * x, q, amp, None
 
 
 def _free_leg(t: np.ndarray, rp: ReducedParams):
@@ -154,7 +163,7 @@ def _atom_segment(t: np.ndarray, rp: ReducedParams):
     g = np.sqrt(2.0 * rp.k0 - t * t)
     x = -rp.k0 + t * t
     q = t * g
-    amp = (2.0 * t * t / g) / (splus_array(x, rp) * (x * x - rp.K * rp.K))
+    amp = -(2.0 * t * t / g) / (splus_array(x, rp) * (a * a + q * q))
     return -1j * x, q, amp, (a + 1j * q) / (a - 1j * q)
 
 
@@ -284,6 +293,12 @@ def psi_atom(R: float, y: float, rp: ReducedParams,
 # unified shifted-line route
 # ----------------------------------------------------------------------
 
+# Im k0 of the unified ladder, extrapolated to eps -> 0; the residue
+# check uses the middle value on a circle of _RESIDUE_POINTS nodes
+_EPS_LADDER = (3e-3, 1e-3, 3e-4)
+_RESIDUE_POINTS = 256
+
+
 def _eps_params(rp: ReducedParams, eps: float):
     k0e = complex(rp.k0, eps)
     Ke = cmath.sqrt(k0e * k0e + rp.a * rp.a)
@@ -293,25 +308,32 @@ def _eps_params(rp: ReducedParams, eps: float):
     return k0e, Ke, alpha
 
 
-def unified_residue_check(rp: ReducedParams, eps: float = 1e-3,
-                          n_points: int = 256) -> float:
+def _line_integrand(k: np.ndarray, R: float, ay: float, rp: ReducedParams,
+                    k0e: complex, Ke: complex) -> np.ndarray:
+    """(k + k0)/w e^{-ikR-|y|w} / ((k^2 - K^2) S+(k)) at the eps-shifted
+    k0e, Ke, with w = sqrt(k^2 - k0e^2) on principal roots."""
+    w = np.sqrt(k * k - k0e * k0e)
+    sp = _backend.splus(np.ascontiguousarray(k, dtype=np.complex128),
+                        rp.a, k0e, Ke)
+    return (k + k0e) / w * np.exp(-1j * k * R - ay * w) / (
+        (k * k - Ke * Ke) * sp)
+
+
+def unified_residue_check(rp: ReducedParams) -> float:
     """|incident coefficient - 1| for the frozen alpha convention.
 
     The residue of the line integrand at k = +K (picked up when the
     contour closes for R > 0) is extracted numerically on a small circle
     around K and must reproduce the unit-amplitude incident pair."""
-    a = rp.a
-    k0e, Ke, alpha = _eps_params(rp, eps)
+    _require_k0(rp, "unified_residue_check")
+    k0e, Ke, alpha = _eps_params(rp, _EPS_LADDER[1])
     r = 0.2 * min(abs(Ke - k0e), abs(Ke))
-    th = (np.arange(n_points) + 0.5) * (2.0 * PI / n_points)
-    k = Ke + r * np.exp(1j * th)
-    w = np.sqrt(k * k - k0e * k0e)
-    sp = _backend.splus(np.ascontiguousarray(k), a, k0e, Ke)
-    # integrand at R = 0, y = 0 up to the e^{-ikR-|y|w} factor, whose
-    # value at k = K is supplied analytically (e^{-iKR-a|y|} coefficient)
-    f = (k + k0e) / w / ((k * k - Ke * Ke) * sp)
+    th = (np.arange(_RESIDUE_POINTS) + 0.5) * (2.0 * PI / _RESIDUE_POINTS)
+    # at R = 0, y = 0: the e^{-ikR-|y|w} factor at k = K is supplied
+    # analytically (the e^{-iKR-a|y|} coefficient)
+    f = _line_integrand(Ke + r * np.exp(1j * th), 0.0, 0.0, rp, k0e, Ke)
     res = np.mean(f * r * np.exp(1j * th))  # (1/2pi i) contour integral
-    coeff = -1j * a * alpha * res
+    coeff = -1j * rp.a * alpha * res
     return abs(coeff - 1.0)
 
 
@@ -327,23 +349,18 @@ def psi_unified(R: float, y: float, rp: ReducedParams, eps: float = 1e-3,
     if R == 0.0:
         raise ValueError("the two contour closures degenerate at R = 0")
     _check_inputs(R, y, tol)
+    _require_k0(rp, "psi_unified")
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     if eps < 2e-5 * max(rp.K, 1.0):
         raise ValueError("eps too small: pole distance below quadrature "
                          "resolution")
-    a = rp.a
     ay = abs(y)
     k0e, Ke, alpha = _eps_params(rp, eps)
     c = 0.5 * (eps + Ke.imag)
 
     def f(x: np.ndarray) -> np.ndarray:
-        k = x + 1j * c
-        w = np.sqrt(k * k - k0e * k0e)
-        sp = _backend.splus(np.ascontiguousarray(k, dtype=np.complex128),
-                            a, k0e, Ke)
-        return (k + k0e) / w * np.exp(-1j * k * R - ay * w) / (
-            (k * k - Ke * Ke) * sp)
+        return _line_integrand(x + 1j * c, R, ay, rp, k0e, Ke)
 
     aR = abs(R)
     X = max(50.0, rp.K + 10.0, (1.0 / (tol * max(aR, 0.3) ** 2)) ** (1.0 / 3.0))
@@ -376,22 +393,21 @@ def psi_unified(R: float, y: float, rp: ReducedParams, eps: float = 1e-3,
         fmX = complex(f(np.array([-X]))[0])
         total += (fX - fmX) / (1j * R)
         err += (abs(fX) + abs(fmX)) / (R * R * X) * 10.0
-    pref = a * alpha / (2.0 * PI)
+    pref = rp.a * alpha / (2.0 * PI)
     return WaveSample(R, y, pref * total, abs(pref) * err,
                       Method.UNIFIED_A7, ok)
 
 
 def psi_unified_extrapolated(R: float, y: float, rp: ReducedParams,
-                             eps_values: Sequence[float] = (3e-3, 1e-3, 3e-4),
                              tol: float = 1e-7) -> WaveSample:
-    """Richardson extrapolation of psi_unified to eps -> 0 (linear for two
-    eps values, quadratic for three).
+    """Quadratic Richardson extrapolation of psi_unified to eps -> 0 over
+    the three values of _EPS_LADDER.
 
     The eps bias is dominantly linear with a weak non-polynomial tail, so
     closely spaced small eps values extrapolate better than a wide ladder.
     """
-    samples = [psi_unified(R, y, rp, eps=e, tol=tol) for e in eps_values]
-    es = np.array(eps_values, dtype=float)
+    samples = [psi_unified(R, y, rp, eps=e, tol=tol) for e in _EPS_LADDER]
+    es = np.array(_EPS_LADDER, dtype=float)
     vs = np.array([s.psi for s in samples])
     while len(vs) > 1:
         vs = (es[:-1] * vs[1:] - es[1:] * vs[:-1]) / (es[:-1] - es[1:])
@@ -414,6 +430,7 @@ def asymptotic_phases(rp: ReducedParams, xi: float) -> AsymptoticPhases:
     """
     if abs(xi) >= 1.0:
         raise ValueError("xi = y/R must satisfy |xi| < 1")
+    _require_k0(rp, "asymptotic_phases")
     a, k0, K = rp.a, rp.k0, rp.K
     pm = (2.0 / PI) * im_ti2(complex(k0, a) / K)
     z = complex(k0 * xi, a) / (K - k0 + 0.5 * k0 * xi * xi)
@@ -437,9 +454,7 @@ def far_field(R: float, y: float, rp: ReducedParams) -> WaveSample:
     """
     if R >= 0.0:
         raise ValueError("far_field requires R < 0")
-    if not rp.k0 > 0.0:
-        raise ValueError("far_field requires k0 > 0: its amplitude grows "
-                         "like k0^(-1/2)")
+    _require_k0(rp, "far_field")
     a, k0, K = rp.a, rp.k0, rp.K
     pm = (2.0 / PI) * im_ti2(complex(k0, a) / K)
     amp = a / (1j * PI * K * K * R * math.sqrt(2.0 * k0 * (K + k0)))
@@ -458,6 +473,7 @@ def steepest_descent(R: float, y: float, rp: ReducedParams) -> complex:
     """
     if R <= 0.0:
         raise ValueError("steepest_descent requires R > 0")
+    _require_k0(rp, "steepest_descent")
     xi = y / R
     if xi == 0.0:
         return 0j  # forward direction carries no ionized flux here
@@ -478,18 +494,19 @@ def psi_tail_saddle(R: float, y: float, rp: ReducedParams) -> complex:
     Used for the displacement diagnostic beyond the exact-quadrature
     window; accuracy a few percent once the saddle width clears the
     segment ends."""
-    a, k0, K = rp.a, rp.k0, rp.K
+    k0 = rp.k0
     ay = abs(y)
     if ay == 0.0:
         raise ValueError("saddle form needs |y| > 0")
+    _require_k0(rp, "psi_tail_saddle")
     rho = math.hypot(R, y)
-    xs = -k0 * R / rho
+    # the free segment's node of x* = k0 - t^2; its amplitude carries the
+    # Jacobian dx/dt = -2t
+    ts = math.sqrt(k0 * (1.0 + R / rho))
+    amp = complex(_free_segment(np.array([ts]), rp)[2][0]) / (2.0 * ts)
     qs = k0 * ay / rho
-    sp = complex(splus_array(np.array([xs + 0j]), rp)[0])
-    amp = (math.sqrt((k0 + xs) / (k0 - xs))
-           * math.sqrt(2.0 * PI * qs ** 3 / (ay * k0 * k0))
-           / ((K * K - xs * xs) * sp))
     return (_pref(rp) / (2.0 * PI) * amp
+            * math.sqrt(2.0 * PI * qs ** 3 / (ay * k0 * k0))
             * cmath.exp(1j * (k0 * rho - 0.25 * PI)))
 
 
@@ -606,6 +623,10 @@ def scan_grid(R_values: Iterable[float], y_values: Iterable[float],
     exceeds any useful tol, so fixed panels would only be redone.  R = 0
     is excluded, R and y must be finite and tol positive.  Deterministic:
     fixed panel layout, block size and summation order.
+
+    UNIFIED_A7 evaluates every sample with psi_unified_extrapolated.
+    FAR_FIELD_32 is rejected: the closed asymptotic laws are evaluated by
+    far_field and steepest_descent (wavecut asymptotics).
     """
     R_vals = np.asarray(sorted(set(float(r) for r in R_values)))
     y_vals = np.asarray(sorted(set(float(v) for v in y_values)))
@@ -614,10 +635,19 @@ def scan_grid(R_values: Iterable[float], y_values: Iterable[float],
     _check_inputs(R_vals, y_vals, tol)
     if np.any(R_vals == 0.0):
         raise ValueError("R = 0 is excluded (region boundary)")
-    if method in (Method.FAR_FIELD_32, Method.STEEPEST_35, Method.UNIFIED_A7):
-        return _scan_special(R_vals, y_vals, rp, tol, method)
-
+    if method is Method.FAR_FIELD_32:
+        raise ValueError("scan_grid has no far_field_32 route: the closed "
+                         "law is far_field")
     out = np.empty((len(R_vals), len(y_vals)), dtype=np.complex128)
+    if method is Method.UNIFIED_A7:
+        err = np.empty(out.shape)
+        conv = np.empty(out.shape, dtype=bool)
+        for i, R in enumerate(R_vals):
+            for j, y in enumerate(y_vals):
+                s = psi_unified_extrapolated(float(R), float(y), rp, tol=tol)
+                out[i, j], err[i, j], conv[i, j] = s.psi, s.err_est, s.converged
+        return WaveGrid(rp, R_vals, y_vals, out, method, tol, err, conv)
+
     err = np.full(out.shape, np.inf)  # rows left at inf go pointwise
     regions = [R_vals > 0]
     if method is not Method.REGIONAL:
@@ -645,22 +675,6 @@ def scan_grid(R_values: Iterable[float], y_values: Iterable[float],
         out[i, j] = s.psi
         err[i, j] = s.err_est
         conv[i, j] = s.converged and s.err_est <= tol
-    return WaveGrid(rp, R_vals, y_vals, out, method, tol, err, conv)
-
-
-def _scan_special(R_vals, y_vals, rp, tol, method):
-    out = np.empty((len(R_vals), len(y_vals)), dtype=np.complex128)
-    err = np.zeros_like(out, dtype=float)
-    conv = np.ones(out.shape, dtype=bool)
-    for i, R in enumerate(R_vals):
-        for j, y in enumerate(y_vals):
-            if method is Method.UNIFIED_A7:
-                s = psi_unified_extrapolated(float(R), float(y), rp, tol=tol)
-                out[i, j], err[i, j], conv[i, j] = s.psi, s.err_est, s.converged
-            elif method is Method.FAR_FIELD_32:
-                out[i, j] = far_field(R, y, rp).psi if R < 0 else np.nan
-            else:
-                out[i, j] = steepest_descent(R, y, rp) if R > 0 else np.nan
     return WaveGrid(rp, R_vals, y_vals, out, method, tol, err, conv)
 
 
@@ -728,23 +742,23 @@ def expected_displacement(R: float, rp: ReducedParams,
 
 
 def tail_exponent(R: float, rp: ReducedParams,
-                  y_range: tuple[float, float],
-                  n_samples: int = 400,
-                  method: Method = Method.APPROX_31) -> tuple[float, float]:
+                  y_range: tuple[float, float]) -> tuple[float, float]:
     """Least-squares slope of log |psi(R, y)|^2 versus log y over envelope
-    maxima in y_range (R < 0).  Returns (slope, stderr).
+    maxima in y_range (R < 0), sampled at 400 geometric y.  Returns
+    (slope, stderr).
 
-    Defaults to the segment-approximation field, whose |psi|^2 oscillates
-    in y (the exact wrap is saddle-dominated and smooth at large y, with
-    no envelope maxima to extract).  Requires at least 8 local maxima.
+    Uses the segment-approximation field (APPROX_31), whose |psi|^2
+    oscillates in y (the exact wrap is saddle-dominated and smooth at
+    large y, with no envelope maxima to extract).  Requires at least 8
+    local maxima.
     """
     if R >= 0.0:
         raise ValueError("tail diagnostic defined for R < 0")
     y1, y2 = y_range
     if not 0 < y1 < y2:
         raise ValueError("invalid y_range")
-    ys = np.geomspace(y1, y2, n_samples)
-    grid = scan_grid([R], ys, rp, tol=1e-6, method=method)
+    ys = np.geomspace(y1, y2, 400)
+    grid = scan_grid([R], ys, rp, tol=1e-6, method=Method.APPROX_31)
     a2 = np.abs(grid.samples[0]) ** 2
     idx = [i for i in range(1, len(a2) - 1)
            if a2[i] >= a2[i - 1] and a2[i] > a2[i + 1]]

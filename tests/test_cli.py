@@ -4,6 +4,7 @@ byte-stability, schema conformance."""
 import csv
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -101,9 +102,16 @@ def test_wavefunction_rejects_boundary(tmp_path):
     ["--R=-inf:-inf:1", "--y", "0:1:2"],
     ["--R", "-2:-1:2", "--y", "0:1:2", "--tol", "0"],
     ["--R", "-2:-1:2", "--y", "0:1:2", "--a", "nan"],
-], ids=["R-nan", "R-inf", "tol-zero", "a-nan"])
+    ["--R", "-2:-1:2", "--y", "0:1:2", "--eps", "1e-3"],
+    ["--R", "-2:-1:2", "--y", "0:1:2", "--method", "far32"],
+], ids=["R-nan", "R-inf", "tol-zero", "a-nan", "eps", "method-far32"])
 def test_wavefunction_rejects_invalid_input(tmp_path, args):
-    assert main(["wavefunction", *args, "--out", str(tmp_path)]) == 2
+    # argparse reports an unknown option or choice by SystemExit(2)
+    try:
+        rc = main(["wavefunction", *args, "--out", str(tmp_path)])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
 
 
 def test_wavefunction_noleg_reports_leg(tmp_path):
@@ -240,6 +248,11 @@ def test_validate_negative_control(capsys):
 
 
 def test_entry_point_installed():
+    # the child finds the package from src/ in an uninstalled checkout
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
     res = subprocess.run([sys.executable, "-m", "wavecut.cli", "--version"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert res.returncode == 0

@@ -1,5 +1,5 @@
-"""Quadrature engine: exactness, singularity removal, oscillation, rays,
-error-estimate and stability contracts."""
+"""Quadrature engine: exactness, oscillation, rays, error-estimate and
+stability contracts."""
 
 import math
 
@@ -15,30 +15,6 @@ def test_constant_exact():
     assert abs(res.value - 1.0) < 1e-15
     assert res.converged
     assert res.err_est >= abs(res.value - 1.0)
-
-
-def test_endpoint_inverse_sqrt():
-    spec = QuadratureSpec(Kind.FINITE, (0.0, 1.0),
-                          singularity_hints=((1.0, -0.5),), tol=1e-12)
-    res = integrate(lambda x: 1.0 / np.sqrt(1.0 - x) + 0j, spec)
-    assert abs(res.value - 2.0) < 1e-12
-    assert res.err_est >= abs(res.value - 2.0)
-
-
-def test_endpoint_singularity_at_left():
-    spec = QuadratureSpec(Kind.FINITE, (0.0, 4.0),
-                          singularity_hints=((0.0, -0.5),), tol=1e-12)
-    res = integrate(lambda x: 1.0 / np.sqrt(x) + 0j, spec)
-    assert abs(res.value - 4.0) < 1e-11
-
-
-def test_both_endpoints_hinted():
-    # int_0^1 1/sqrt(x(1-x)) dx = pi
-    spec = QuadratureSpec(Kind.FINITE, (0.0, 1.0),
-                          singularity_hints=((0.0, -0.5), (1.0, -0.5)),
-                          tol=1e-12)
-    res = integrate(lambda x: 1.0 / np.sqrt(x * (1.0 - x)) + 0j, spec)
-    assert abs(res.value - math.pi) < 1e-11
 
 
 def test_decaying_ray():
@@ -144,12 +120,6 @@ def test_spec_validation():
         QuadratureSpec(Kind.FINITE, (0.0, 1.0), tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(Kind.FINITE, (0.0, 1.0), max_subdivisions=0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(Kind.FINITE, (0.0, 1.0),
-                       singularity_hints=((0.0, -1.5),))
-    with pytest.raises(ValueError):
-        integrate(lambda x: x, QuadratureSpec(
-            Kind.FINITE, (0.0, 1.0), singularity_hints=((0.5, -0.5),)))
 
 
 def test_evaluation_count_reported():

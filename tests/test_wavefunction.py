@@ -178,18 +178,6 @@ def test_unified_eps_guard():
 
 def test_unified_residue_unit_incident():
     assert unified_residue_check(RP) < 1e-6
-    assert unified_residue_check(RP, eps=1e-2) < 1e-6
-
-
-def test_unified_spec_ladder_within_reported_error():
-    # with the coarse two-value ladder the deviation must stay within
-    # max(1e-4, 10 * err_est) of the regional value
-    for (R, y) in [(-5.0, 0.0), (3.0, 1.0)]:
-        uni = psi_unified_extrapolated(R, y, RP, eps_values=(1e-2, 1e-3),
-                                       tol=1e-7)
-        reg = (psi_free if R < 0 else psi_atom)(R, y, RP, tol=1e-9)
-        dev = abs(uni.psi - reg.psi)
-        assert dev <= max(1e-4 * abs(reg.psi), 10.0 * uni.err_est)
 
 
 def test_unified_alpha_eps_stable():
@@ -230,8 +218,45 @@ def test_far_field_rejects_k0_zero():
     rp0 = ReducedParams.from_a_k0(1.0, 0.0)
     with pytest.raises(ValueError, match="k0 > 0"):
         far_field(-50.0, 0.0, rp0)
-    with pytest.raises(ValueError, match="k0 > 0"):
-        scan_grid([-50.0], [0.0], rp0, method=Method.FAR_FIELD_32)
+    with pytest.raises(ValueError, match="no far_field_32 route"):
+        scan_grid([-50.0], [0.0], RP, method=Method.FAR_FIELD_32)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rp: steepest_descent(5.0, 1.0, rp),
+    lambda rp: steepest_descent(5.0, 0.0, rp),
+    lambda rp: wf.asymptotic_phases(rp, 0.2),
+    lambda rp: psi_tail_saddle(-5.0, 2.0, rp),
+    lambda rp: psi_unified(-2.0, 0.5, rp),
+    lambda rp: psi_unified_extrapolated(3.0, 0.5, rp),
+    lambda rp: unified_residue_check(rp),
+], ids=["steepest-descent", "steepest-descent-forward", "phases", "saddle",
+        "unified", "unified-extrapolated", "residue"])
+def test_k0_zero_rejected_with_typed_error(call):
+    # rejected at entry instead of failing inside Ti2 or by division
+    with pytest.raises(ValueError, match="requires k0 > 0"):
+        call(ReducedParams.from_a_k0(1.0, 0.0))
+
+
+def test_regional_routes_finite_at_k0_zero():
+    rp0 = ReducedParams.from_a_k0(1.0, 0.0)
+    free, atom = psi_free(-3.0, 0.5, rp0), psi_atom(3.0, 0.5, rp0)
+    assert free.converged and atom.converged
+    assert abs(free.psi - (0.448963 - 0.185967j)) < 1e-6
+    grid = scan_grid([-3.0, 3.0], [0.5], rp0, tol=1e-6)
+    assert grid.converged.all()
+    assert abs(grid.samples[0, 0] - free.psi) < 1e-6
+    assert abs(grid.samples[1, 0] - atom.psi) < 1e-6
+
+
+def test_weak_binding_limit_is_free_wave():
+    # as a -> 0 the pair no longer binds and psi tends to the incident
+    # free wave e^{-i k0 R} in both regions (gap ~ 0.9 a)
+    rp = ReducedParams.from_a_k0(1e-8, 2.0)
+    for R, route in ((-3.0, psi_free), (3.0, psi_atom)):
+        s = route(R, 0.5, rp)
+        assert s.converged
+        assert abs(s.psi - cmath.exp(-1j * rp.k0 * R)) < 1e-6, (R, s.psi)
 
 
 @pytest.mark.xfail(strict=True,
