@@ -579,12 +579,21 @@ def _scan_region(rp: ReducedParams, R_vals: np.ndarray, y_vals: np.ndarray,
     ymax = float(np.max(ay))
     pref = _pref(rp)
 
-    # quarter-wavelength initial panels for the worst sample of the grid
-    rate = 2.0 * math.sqrt(k0) * Rmax + 2.0 * math.sqrt(2 * k0) * ymax
-    n_panels = int(min(6000, max(24, math.ceil(
-        math.sqrt(k0) * rate * 2.0 / PI))))
-    ts, w15, w7 = _fixed_nodes(0.0, math.sqrt(k0), n_panels)
-    m, em = _panel_sums(*segment(ts, rp), w15, w7, R_vals, ay, single)
+    if k0 > 0.0:
+        # quarter-wavelength initial panels for the worst sample of the grid
+        rate = 2.0 * math.sqrt(k0) * Rmax + 2.0 * math.sqrt(2 * k0) * ymax
+        n_panels = int(min(6000, max(24, math.ceil(
+            math.sqrt(k0) * rate * 2.0 / PI))))
+        ts, w15, w7 = _fixed_nodes(0.0, math.sqrt(k0), n_panels)
+        m, em = _panel_sums(*segment(ts, rp), w15, w7, R_vals, ay, single)
+    else:
+        # at k0 = 0 the segment has zero width and its nodes would sit on
+        # the merged branch points, where the amplitudes are 0/0.  The
+        # free leg then grows like t^-1/2 at the origin (S+(it) ~
+        # sqrt(it/K)), so R < 0 rows still miss tol on fixed panels and
+        # go to the adaptive route; R > 0 rows stay here.
+        m = np.zeros((len(R_vals), len(y_vals)), dtype=np.complex128)
+        em = np.zeros(m.shape)
     out = pref / (2 * PI) * m
     sc = abs(pref) / (2 * PI)
     err = sc * em

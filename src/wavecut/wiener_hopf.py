@@ -14,15 +14,19 @@ Cauchy-integral representation
     S+(k) = exp(-J(k)),
     J(k)  = (k/(pi i)) int_0^inf Log[1 + a/sqrt(u^2-k0^2)] du/(u^2 - k^2),
 
-evaluated by brute-force quadrature (j_direct): for Re k > 0 through the
-contour rotated onto u = -i k s (two real integrals, the second one known
-in closed form), for Re k <= 0 directly along the real axis, where the
-rotation would sweep the k0 branch cut and the u = -k pole.
+evaluated by brute-force quadrature (j_direct) of smooth integrands
+only.  For Re k > 0 the contour is rotated onto u = -i k s; the identity
+int_0^inf Log(s^2+c^2)/(s^2+1) ds = pi Log(1+c), c = k0/k, removes the
+log-singular part, leaving one integral that vanishes at s = inf
+(_j_rotated).  For Re k <= 0, where the rotation would sweep the k0
+branch cut and the u = -k pole, it runs along the real axis with the
+inverse square root at u = k0 mapped away by u = k0 -+ t^2 (j_axis).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -82,13 +86,23 @@ def splus(k: complex, rp: ReducedParams) -> complex:
     return complex(_backend.splus(np.array([k]), rp.a, rp.k0, rp.K)[0])
 
 
+@functools.lru_cache(maxsize=256)
+def _confluence_phase(a: float, K: float) -> float:
+    """(Li2(-a/K) - Li2(a/K))/(2 pi), from one 2-point dilog call.
+
+    Memoised: S+(K) and S+(-K) share it, and callers ask for both at one
+    parameter set.  A test that patches the dilog kernels must clear the
+    cache."""
+    d = dilog(np.array([-a / K, a / K]))
+    return (d[0] - d[1]).real / (2.0 * PI)
+
+
 def splus_at_K(rp: ReducedParams) -> complex:
     """Confluence value S+(K) = sqrt((K+k0)/(2K))
     exp[(i/2pi)(Li2(-a/K) - Li2(a/K))]; a/K < 1 so both dilogarithms are
     real and the exponent is a pure phase."""
-    a, k0, K = rp.a, rp.k0, rp.K
-    ph = (dilog(-a / K) - dilog(a / K)).real / (2.0 * PI)
-    return math.sqrt((K + k0) / (2.0 * K)) * cmath.exp(1j * ph)
+    ph = _confluence_phase(rp.a, rp.K)
+    return math.sqrt((rp.K + rp.k0) / (2.0 * rp.K)) * cmath.exp(1j * ph)
 
 
 def splus_at_minus_K(rp: ReducedParams) -> complex:
@@ -102,9 +116,8 @@ def splus_at_minus_K(rp: ReducedParams) -> complex:
 
     i.e. exactly (1/2)/S+(K): the product identity holds analytically.
     """
-    a, k0, K = rp.a, rp.k0, rp.K
-    ph = (dilog(-a / K) - dilog(a / K)).real / (2.0 * PI)
-    return math.sqrt(K / (2.0 * (K + k0))) * cmath.exp(-1j * ph)
+    ph = _confluence_phase(rp.a, rp.K)
+    return math.sqrt(rp.K / (2.0 * (rp.K + rp.k0))) * cmath.exp(-1j * ph)
 
 
 def _minus_K_delta(rp: ReducedParams) -> float:
@@ -120,7 +133,7 @@ def splus_minus_K_limit(rp: ReducedParams, deltas=None) -> complex:
         d0 = _minus_K_delta(rp)
         deltas = (4.0 * d0, 2.0 * d0, d0)
     ds = list(deltas)
-    vs = [splus(complex(-rp.K, d), rp) for d in ds]
+    vs = splus_array([complex(-rp.K, d) for d in ds], rp).tolist()
     # Neville elimination of the leading delta and delta^2 terms
     v01 = (ds[0] * vs[1] - ds[1] * vs[0]) / (ds[0] - ds[1])
     v12 = (ds[1] * vs[2] - ds[2] * vs[1]) / (ds[1] - ds[2])
@@ -163,32 +176,27 @@ def sigma_plus(k: complex, rp: ReducedParams) -> complex:
 # ----------------------------------------------------------------------
 
 def _j_rotated(k: complex, rp: ReducedParams, tol: float):
-    """Rotated-contour form, Re k > 0.
+    """Rotated-contour form, Re k > 0, with c the principal root of
+    (k0/k)^2 (Re c > 0: j_direct sends Re k = 0 to the axis form).
 
-    First integral int_0^inf Log[sqrt(s^2+(k0/k)^2) + i a/k] ds/(s^2+1)
-    evaluated with s = tan(theta) and the branch anchored at s = inf by
-    splitting Log[...] = Log[sqrt(s^2+c^2)] + Log[1 + i a/(k sqrt(...))];
-    the second integral is the tabulated pi Log(1 + c), c the principal
-    root of (k0/k)^2.
+    On u = -i k s the density becomes Log[sqrt(s^2+c^2) + i a/k]/(s^2+1).
+    Splitting the Log as Log[sqrt(s^2+c^2)] + Log[1 + i a/(k sqrt(...))]
+    anchors its branch at s = inf, and the first term integrates to
+    (pi/2) Log(1 + c), which cancels the closed second integral
+    (1/2) Log(1 + c) of the rotation (j_second_integral_check).  What
+    remains is
+
+        J(k) = (1/pi) int_0^{pi/2} Log[1 + i a/(k sqrt(tan^2 th + c^2))] dth,
+
+    s = tan(th), whose integrand is smooth and vanishes at th = pi/2.
     """
     a, k0 = rp.a, rp.k0
     ksq = (k0 / k) ** 2
     iak = 1j * a / k
-    neg_axis = ksq.imag == 0.0 and ksq.real < 0.0
 
     def f(theta: np.ndarray) -> np.ndarray:
         t = np.tan(theta)
-        u = t * t + ksq
-        if neg_axis:
-            neg = u.real < 0.0
-            root = np.where(neg, -1j * np.sqrt(np.abs(u.real)), np.sqrt(u))
-            lg = np.where(neg,
-                          np.log(np.abs(u.real)) - 1j * PI,
-                          np.log(np.where(neg, 1.0, u)))
-        else:
-            root = np.sqrt(u)
-            lg = np.log(u)
-        return 0.5 * lg + np.log(1.0 + iak / root)
+        return np.log(1.0 + iak / np.sqrt(t * t + ksq))
 
     kv = abs(k)
     cuts = sorted({math.atan(k0 / kv), math.atan(rp.K / kv)})
@@ -205,37 +213,51 @@ def _j_rotated(k: complex, rp: ReducedParams, tol: float):
         err += res.err_est
         evals += res.evaluations
         ok = ok and res.converged
-    c_eff = -1j * math.sqrt(-ksq.real) if neg_axis else cmath.sqrt(ksq)
-    value = total / PI - 0.5 * cmath.log(1.0 + c_eff)
-    return value, err / PI, evals, ok
+    return total / PI, err / PI, evals, ok
 
 
 def j_axis(k: complex, rp: ReducedParams, tol: float = 1e-10):
-    """Slow validation path: Eq-of-definition quadrature along the real
+    """Validation path: Eq-of-definition quadrature along the real
     axis, J(k) = (k/(pi i)) int_0^inf Log[1 + a/w(u)] du/(u^2-k^2) with
-    w(u) = -i sqrt(k0^2-u^2) on (0, k0).  Valid for any Im k > 0."""
+    w(u) = -i sqrt(k0^2-u^2) on (0, k0).  Valid for any Im k > 0.
+
+    The inverse square root of w at u = k0 is removed before quadrature:
+    u = k0 - t^2 on (0, k0) and u = k0 + t^2 on (k0, U), U = 12 k0 + 4|k|,
+    give |u^2 - k0^2| = t^2 |2 k0 -+ t^2| and densities such as
+    2t Log[1 + i a/(t sqrt(2k0 - t^2))]/(u^2 - k^2), which vanish like
+    t ln t at the branch point.  The decaying ray beyond U is smooth.
+    """
     a, k0 = rp.a, rp.k0
     k2 = k * k
+    U = 12.0 * k0 + 4 * abs(k)
 
-    def dens_inside(u: np.ndarray) -> np.ndarray:
-        return np.log(1.0 + 1j * a / np.sqrt(k0 * k0 - u * u)) / (u * u - k2)
+    def dens_inside(t: np.ndarray) -> np.ndarray:
+        u = k0 - t * t
+        w = t * np.sqrt(2.0 * k0 - t * t)
+        return 2.0 * t * np.log(1.0 + 1j * a / w) / (u * u - k2)
 
-    def dens_outside(u: np.ndarray) -> np.ndarray:
+    def dens_outside(t: np.ndarray) -> np.ndarray:
+        u = k0 + t * t
+        w = t * np.sqrt(2.0 * k0 + t * t)
+        return 2.0 * t * np.log(1.0 + a / w) / (u * u - k2)
+
+    def dens_ray(u: np.ndarray) -> np.ndarray:
         return np.log(1.0 + a / np.sqrt(u * u - k0 * k0)) / (u * u - k2)
 
     total = 0j
     err = 0.0
     evals = 0
     ok = True
-    # log-singular density endpoints at k0 handled by adaptive refinement
+    # initial panels in t: 2 on (0, sqrt(k0)), ceil(sqrt(11 + 4|k|/k0))
+    # on (0, sqrt(U - k0)); adaptive bisection does the rest
+    sk0 = math.sqrt(k0)
     for f, spec in [
-        (dens_inside, QuadratureSpec(Kind.FINITE, (0.0, k0), tol=tol / 3,
-                                     oscillation_hint=k0 / 8)),
-        (dens_outside, QuadratureSpec(Kind.FINITE, (k0, 12.0 * k0 + 4 * abs(k)),
-                                      tol=tol / 3, oscillation_hint=k0)),
-        (dens_outside, QuadratureSpec(
-            Kind.DECAYING_RAY, (12.0 * k0 + 4 * abs(k), 1.0, 0.05),
-            tol=tol / 3)),
+        (dens_inside, QuadratureSpec(Kind.FINITE, (0.0, sk0), tol=tol / 3,
+                                     oscillation_hint=8 * sk0)),
+        (dens_outside, QuadratureSpec(Kind.FINITE, (0.0, math.sqrt(U - k0)),
+                                      tol=tol / 3, oscillation_hint=4 * sk0)),
+        (dens_ray, QuadratureSpec(Kind.DECAYING_RAY, (U, 1.0, 0.05),
+                                  tol=tol / 3)),
     ]:
         res = integrate(f, spec)
         total += res.value
@@ -250,9 +272,10 @@ def j_direct(k: complex, rp: ReducedParams, tol: float = 1e-9) -> complex:
     oracle for the closed form.
 
     Im k > 0 strictly; real k is resolved as the limit from above with
-    delta = 1e-6 and one Richardson step.  Re k > 0 uses the rotated
-    two-integral form; Re k <= 0 falls back to the real-axis form (the
-    rotation there sweeps the k0 branch cut and the u = -k pole).
+    delta = 1e-6 and one Richardson step.  Re k > 0 uses the rotated form
+    (_j_rotated); Re k <= 0, and Re k > 0 where the rotated Log could
+    wind, use the real-axis form (j_axis).  Both integrate smooth
+    densities: neither resolves an endpoint singularity by bisection.
     """
     k = complex(k)
     if k.imag < 0.0:
@@ -282,9 +305,12 @@ def j_direct(k: complex, rp: ReducedParams, tol: float = 1e-9) -> complex:
 
 
 def j_second_integral_check(k: complex, rp: ReducedParams) -> float:
-    """Self-check of the tabulated second integral of the rotated form:
+    """Self-check of the identity behind the rotated form:
     |int_0^inf Log[s^2+(k0/k)^2]/(s^2+1) ds - pi Log(1 + c)|, c the
-    principal root of (k0/k)^2."""
+    principal root of (k0/k)^2.  _j_rotated relies on it to drop both
+    the log-singular half of its density and the closed second integral
+    (1/2) Log(1 + c), which cancel exactly.  Also covers real negative
+    (k0/k)^2 (Re k = 0), on the limit from Im k > 0."""
     ksq = (rp.k0 / k) ** 2
     neg_axis = ksq.imag == 0.0 and ksq.real < 0.0
 

@@ -249,6 +249,27 @@ def test_regional_routes_finite_at_k0_zero():
     assert abs(grid.samples[1, 0] - atom.psi) < 1e-6
 
 
+@pytest.mark.filterwarnings("error")
+def test_scan_grid_k0_zero_keeps_atom_rows_on_fixed_panels(caplog):
+    # the cut segment has zero width at k0 = 0 and is skipped: R > 0 rows
+    # stay on fixed panels, R < 0 rows fall back because the free leg
+    # grows like t^-1/2 there
+    caplog.set_level(logging.INFO, logger="wavecut.wavefunction")
+    rp0 = ReducedParams.from_a_k0(1.0, 0.0)
+    R = [-5.0, -2.0, -0.5, 0.5, 2.0, 5.0]
+    y = [0.0, 1.0, 2.5]
+    grid = scan_grid(R, y, rp0, tol=1e-6)
+    assert grid.converged.all()
+    assert len(caplog.records) == 1
+    assert "9 of 18 samples" in caplog.records[0].getMessage()
+    for i, Ri in enumerate(grid.R_values):
+        route = psi_free if Ri < 0 else psi_atom
+        for j, yj in enumerate(grid.y_values):
+            s = route(float(Ri), float(yj), rp0, tol=1e-6)
+            gap = abs(grid.samples[i, j] - s.psi)
+            assert gap <= grid.err[i, j] + s.err_est
+
+
 def test_weak_binding_limit_is_free_wave():
     # as a -> 0 the pair no longer binds and psi tends to the incident
     # free wave e^{-i k0 R} in both regions (gap ~ 0.9 a)

@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wavecut import _purepy
+from wavecut import _backend, _purepy
 from wavecut import wiener_hopf as wh
 from wavecut.model import ReducedParams
 from wavecut.specfun import dilog
@@ -33,7 +35,63 @@ def test_j_rotated_and_axis_forms_agree():
         jr = wh.j_direct(k, RP, tol=1e-10)
         ja, _, _, ok = wh.j_axis(k, RP, tol=1e-10)
         assert ok
-        assert abs(jr - ja) < 1e-8
+        assert abs(jr - ja) < 1e-10
+
+
+@pytest.fixture
+def j_forms(monkeypatch):
+    """Records, per call of j_direct, which J form ran and its integrand
+    evaluations: a list of (form name, evaluations)."""
+    calls = []
+    for name in ("_j_rotated", "j_axis"):
+        inner = getattr(wh, name)
+
+        def spy(k, rp, tol, inner=inner, name=name):
+            res = inner(k, rp, tol)
+            calls.append((name, res[2]))
+            return res
+
+        monkeypatch.setattr(wh, name, spy)
+    return calls
+
+
+def test_j_rotated_route_matches_closed_form(j_forms):
+    # the rotated form integrates a smooth density: its oracle gap is at
+    # roundoff, not at the quadrature tolerance
+    rng = np.random.default_rng(8)
+    worst = 0.0
+    for _ in range(200):
+        rp = ReducedParams.from_a_k0(rng.uniform(0.5, 5.0),
+                                     rng.uniform(0.1, 5.0))
+        k = complex(rng.uniform(0.0, 3.0), rng.uniform(0.1, 5.0))
+        j = wh.j_direct(k, rp, tol=1e-9)
+        if j_forms[-1][0] == "_j_rotated":
+            sp = wh.splus(k, rp)
+            worst = max(worst, abs(sp - cmath.exp(-j)) / abs(sp))
+    assert sum(name == "_j_rotated" for name, _ in j_forms) >= 30
+    assert worst <= 1e-13
+
+
+def test_j_oracle_evaluations_on_standard_grid(j_forms):
+    # both J forms are free of endpoint singularities: bisecting the
+    # inverse square root at u = k0 cost 54,420 evaluations on this grid
+    for x in (-3.0, -1.0, 0.0, 1.0, 3.0):
+        for y in (0.1, 0.5, 1.0, 2.0, 5.0):
+            wh.j_direct(complex(x, y), RP, tol=1e-9)
+    assert len(j_forms) == 25
+    assert sum(n for _, n in j_forms) <= 27_000
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(a=st.floats(0.5, 5.0), k0=st.floats(0.1, 5.0),
+       x=st.floats(-3.0, 3.0), y=st.floats(0.1, 5.0))
+def test_splus_oracle_property(a, k0, x, y):
+    # the sweep workload's box, at the oracle tolerance it uses
+    rp = ReducedParams.from_a_k0(a, k0)
+    k = complex(x, y)
+    sp = wh.splus(k, rp)
+    oracle = cmath.exp(-wh.j_direct(k, rp, tol=1e-9))
+    assert abs(sp - oracle) / abs(sp) <= 1e-9
 
 
 def test_j_second_integral_tabulated_value():
@@ -114,6 +172,7 @@ def test_splus_blocks_match_pointwise(monkeypatch):
     want = np.array([wh.splus(kk, RP) for kk in k])
     calls = []
     inner = _purepy.dilog
+    wh._confluence_phase.cache_clear()
     monkeypatch.setattr(_purepy, "dilog",
                         lambda z: calls.append(z.size) or inner(z))
     got = wh.splus_array(k, RP)
@@ -243,6 +302,24 @@ def test_b3_trivial_and_domain():
         wh.b3_identity_check(1.5, 1.0)
     with pytest.raises(ValueError):
         wh.b3_identity_check(0.5, -1.0)
+
+
+def test_confluence_values_share_one_dilog_call(monkeypatch):
+    # S+(K), S+(-K) and the product identity at one parameter set take
+    # the confluence phase from one memoised 2-point dilog call
+    rp = ReducedParams.from_a_k0(0.7, 1.3)
+    calls = []
+    inner = _backend.dilog
+    wh._confluence_phase.cache_clear()
+    monkeypatch.setattr(_backend, "dilog",
+                        lambda z: calls.append(z.size) or inner(z))
+    sK, smK = wh.splus_at_K(rp), wh.splus_at_minus_K(rp)
+    wh.splus_product_identity(rp)
+    assert calls == [2]
+    ph = (dilog(-rp.a / rp.K) - dilog(rp.a / rp.K)).real / (2.0 * math.pi)
+    assert sK == math.sqrt((rp.K + rp.k0) / (2 * rp.K)) * cmath.exp(1j * ph)
+    assert smK == (math.sqrt(rp.K / (2 * (rp.K + rp.k0)))
+                   * cmath.exp(-1j * ph))
 
 
 def test_splus_phase_anchor_eq_dilog():
