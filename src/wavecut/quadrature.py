@@ -8,11 +8,20 @@ decaying rays (rational map s/(1-s) graded by the decay rate).
 
 Each panel is evaluated with the 15-point Kronrod rule; the embedded
 7-point Gauss value provides the per-panel error estimate |K15 - G7|.
-Panels are bisected worst-first, up to _BATCH per sweep.  The final sum
-runs over panels sorted by position using math.fsum, so results are
-bit-reproducible for a fixed configuration.  Integrands receive a 1-D
+Panels are bisected worst-first, up to _BATCH per sweep (globally
+adaptive G7/K15, as in QUADPACK's QAG: Piessens et al., 1983).  The final
+sum over the panels uses math.fsum, which is exactly rounded, so results
+are bit-reproducible for a fixed configuration.  Integrands receive a 1-D
 float64 array of abscissae and must return complex128 values of the same
 length.
+
+One call can integrate several pieces that share an integrand, such as
+the intervals of a contour.  Every piece keeps its own panels, tolerance,
+split budget and stopping rule; only the integrand call is shared, one
+per refinement round for all unfinished pieces.  A piece's value, error
+estimate and evaluation count are therefore the same as when it is
+integrated alone, while the fixed cost per integrand call is paid once
+per round instead of once per piece and round.
 """
 
 from __future__ import annotations
@@ -156,62 +165,50 @@ def _initial_panels(piece: _Piece, spec: QuadratureSpec,
     return np.linspace(piece.t0, piece.t1, n + 1)
 
 
-def _eval_panels(f, piece: _Piece, los: np.ndarray, his: np.ndarray):
-    """Evaluate K15/G7 on a batch of panels; returns (vals, errs, n_eval)."""
-    c = 0.5 * (los + his)
-    h = 0.5 * (his - los)
-    ts = (c[:, None] + h[:, None] * _NODES[None, :]).ravel()
-    xs = piece.xmap(ts)
-    ws = piece.jac(ts)
-    fv = (np.asarray(f(xs), dtype=np.complex128) * ws).reshape(len(los), 15)
-    k15 = (fv @ _W15) * h
-    g7 = (fv @ _W7) * h
-    return k15, np.abs(k15 - g7), fv.size
+class _Run:
+    """Adaptive state of one spec: its heap of panels, counts, limits and
+    the panel batch waiting for integrand values."""
 
+    def __init__(self, spec: QuadratureSpec, piece: _Piece):
+        self.spec = spec
+        self.piece = piece
+        self.heap: list = []
+        self.counter = 0
+        self.evals = 0
+        self.splits = 0
+        self.batch = None
 
-def integrate(f, spec: QuadratureSpec, *,
-              initial_panels: Optional[int] = None) -> QuadResult:
-    """Integrate a complex-valued vectorized integrand.
+    def stage(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+        """Hold a panel batch; returns its K15 abscissae in x."""
+        h = 0.5 * (his - los)
+        ts = ((0.5 * (los + his))[:, None] + h[:, None] * _NODES).ravel()
+        self.batch = (los, his, h, self.piece.jac(ts))
+        return self.piece.xmap(ts)
 
-    Parameters
-    ----------
-    f : callable
-        Maps a float64 array of abscissae to complex values.
-    spec : QuadratureSpec
-    initial_panels : int, optional
-        Override the initial panel count (testing hook: results must be
-        stable under halving/doubling).
+    def push(self, fx: np.ndarray) -> None:
+        """File the K15/G7 values of the held batch from its integrand
+        values fx."""
+        los, his, h, ws = self.batch
+        fv = (fx * ws).reshape(len(los), 15)
+        vals = (fv @ _W15) * h
+        errs = np.abs(vals - (fv @ _W7) * h)
+        self.evals += fv.size
+        # Python scalars: the heap compares them many times per round
+        n = self.counter
+        self.counter += len(vals)
+        for item in zip((-errs).tolist(), range(n, self.counter),
+                        los.tolist(), his.tolist(), vals.tolist()):
+            heapq.heappush(self.heap, item)
 
-    Returns
-    -------
-    QuadResult
-        Non-convergence is reported, not raised: converged=False with the
-        best value and the achieved error estimate.
-    """
-    piece = _build_piece(spec)
-    if piece is None:
-        return QuadResult(0j, 0.0, 0, True)
-
-    heap: list = []
-    counter = 0
-    evals = 0
-
-    def push(los: np.ndarray, his: np.ndarray) -> None:
-        nonlocal counter, evals
-        vals, errs, n = _eval_panels(f, piece, los, his)
-        evals += n
-        for j in range(len(vals)):
-            heapq.heappush(heap, (-errs[j], counter, los[j], his[j], vals[j]))
-            counter += 1
-
-    edges = _initial_panels(piece, spec, initial_panels)
-    push(edges[:-1], edges[1:])
-
-    splits = 0
-    while splits < spec.max_subdivisions:
-        total_err = -math.fsum(item[0] for item in heap)
-        if total_err <= spec.tol:
-            break
+    def refine(self) -> Optional[np.ndarray]:
+        """Stage the panels to evaluate next and return their abscissae,
+        or None once finished: the error is within tol, the split budget
+        is spent, or nothing left can be split."""
+        spec, heap = self.spec, self.heap
+        if self.splits >= spec.max_subdivisions:
+            return None
+        if -math.fsum(item[0] for item in heap) <= spec.tol:
+            return None
         todo = []
         while heap and len(todo) < _BATCH:
             item = heapq.heappop(heap)
@@ -219,30 +216,92 @@ def integrate(f, spec: QuadratureSpec, *,
                 heapq.heappush(heap, item)
                 break
             todo.append(item)
-        if not todo:
-            break
-        keep = []
-        frozen = []
+        los, his = [], []
         for item in todo:
             _, _, lo, hi, _ = item
             if hi - lo < 1e-14 * max(1.0, abs(hi), abs(lo)):
-                frozen.append(item)  # machine-width panel: cannot split
+                heapq.heappush(heap, item)  # machine-width panel: cannot split
                 continue
             mid = 0.5 * (lo + hi)
-            keep.append((lo, mid))
-            keep.append((mid, hi))
-            splits += 1
-        for item in frozen:
-            heapq.heappush(heap, item)
-        if not keep:
-            break  # nothing left that can be refined
-        push(np.array([b[0] for b in keep]), np.array([b[1] for b in keep]))
+            los += (lo, mid)
+            his += (mid, hi)
+        if not los:
+            return None
+        self.splits += len(los) // 2
+        return self.stage(np.array(los), np.array(his))
 
-    panels = sorted(heap, key=lambda it: it[2])
-    re = math.fsum(it[4].real for it in panels)
-    im = math.fsum(it[4].imag for it in panels)
-    err = math.fsum(-it[0] for it in panels)
-    # roundoff floor: accumulated double-precision noise over the panels
-    abs_sum = math.fsum(abs(it[4]) for it in panels)
-    err += 100.0 * 2.220446049250313e-16 * abs_sum
-    return QuadResult(complex(re, im), err, evals, err <= spec.tol)
+    def result(self) -> QuadResult:
+        # fsum is exactly rounded, so the order of the panels is immaterial
+        heap = self.heap
+        re = math.fsum(it[4].real for it in heap)
+        im = math.fsum(it[4].imag for it in heap)
+        err = math.fsum(-it[0] for it in heap)
+        # roundoff floor: accumulated double-precision noise over the panels
+        abs_sum = math.fsum(abs(it[4]) for it in heap)
+        err += 100.0 * 2.220446049250313e-16 * abs_sum
+        return QuadResult(complex(re, im), err, self.evals,
+                          err <= self.spec.tol)
+
+
+def integrate(f, *specs: QuadratureSpec,
+              initial_panels: Optional[int] = None) -> QuadResult:
+    """Integrate a complex-valued vectorized integrand over one or more
+    pieces.
+
+    Each spec is refined on its own: its own heap of panels, tol,
+    max_subdivisions, split count and stopping rule, so a piece takes the
+    same panels and gives the same value, err_est and evaluations whether
+    it is passed alone or with others.  What the pieces share is the
+    integrand call: in each refinement round the abscissae of every
+    unfinished piece's new panels go to ``f`` in one call, in spec order,
+    and the values are split back per piece.  A contour of n pieces then
+    costs one call per round instead of one per piece and round.
+
+    Parameters
+    ----------
+    f : callable
+        Maps a 1-D float64 array of abscissae to complex values of the
+        same length, each depending on its own abscissa only.
+    *specs : QuadratureSpec
+        The pieces, at least one.
+    initial_panels : int, optional
+        Override the initial panel count of every piece (testing hook:
+        results must be stable under halving/doubling).
+
+    Returns
+    -------
+    QuadResult
+        value and err_est summed over the pieces in spec order from 0j and
+        0.0, evaluations summed, converged only if every piece converged.
+        Non-convergence is reported, not raised: converged=False with the
+        best value and the achieved error estimate.
+    """
+    if not specs:
+        raise TypeError("integrate needs at least one QuadratureSpec")
+    runs = [_Run(spec, _build_piece(spec)) for spec in specs]
+    live = [run for run in runs if run.piece is not None]  # empty: no panels
+    xs = []
+    for run in live:
+        edges = _initial_panels(run.piece, run.spec, initial_panels)
+        xs.append(run.stage(edges[:-1], edges[1:]))
+    while live:
+        fx = np.asarray(f(xs[0] if len(xs) == 1 else np.concatenate(xs)),
+                        dtype=np.complex128)
+        start = 0
+        pending, xs_next = [], []
+        for run, x in zip(live, xs):
+            run.push(fx[start:start + x.size])
+            start += x.size
+            x = run.refine()
+            if x is not None:
+                pending.append(run)
+                xs_next.append(x)
+        live, xs = pending, xs_next
+
+    results = [run.result() for run in runs]
+    value, err = 0j, 0.0
+    for res in results:
+        value += res.value
+        err += res.err_est
+    return QuadResult(value, err, sum(res.evaluations for res in results),
+                      all(res.converged for res in results))

@@ -46,7 +46,7 @@ from . import _backend
 from .model import ReducedParams
 from .quadrature import _NODES, _W7, _W15, Kind, QuadratureSpec, integrate
 from .specfun import dilog, im_ti2, ti2
-from .wiener_hopf import splus_array, splus_at_K
+from .wiener_hopf import splus_at_K
 
 PI = math.pi
 
@@ -139,13 +139,19 @@ def _hint_t(rp: ReducedParams, R: float, y: float) -> float:
 #     psi = [R > 0] bound pair + pref/(2 pi) (segment - i leg).
 # ----------------------------------------------------------------------
 
+def _splus(k: np.ndarray, rp: ReducedParams) -> np.ndarray:
+    """S+ on contour points, none of which is real and left of -k0: the
+    kernel itself, without splus_array's check for that cut."""
+    return _backend.splus(k, rp.a, rp.k0, rp.K)
+
+
 def _free_segment(t: np.ndarray, rp: ReducedParams):
     """Upper cut, both sides: x = k0 - t^2 over t in (0, sqrt(k0))."""
     g = np.sqrt(2.0 * rp.k0 - t * t)
     x = rp.k0 - t * t
     q = t * g
     # K^2 - x^2 = a^2 + q^2, free of cancellation as a -> 0
-    amp = 2.0 * g / (splus_array(x, rp) * (rp.a * rp.a + q * q))
+    amp = 2.0 * g / (_splus(x, rp) * (rp.a * rp.a + q * q))
     return -1j * x, q, amp, None
 
 
@@ -153,7 +159,7 @@ def _free_leg(t: np.ndarray, rp: ReducedParams):
     """Positive imaginary axis k = i t, decaying like e^{-t|R|}."""
     k = 1j * t
     v = np.sqrt(rp.k0 * rp.k0 + t * t)
-    amp = (rp.k0 + k) / v / ((t * t + rp.K * rp.K) * splus_array(k, rp))
+    amp = (rp.k0 + k) / v / ((t * t + rp.K * rp.K) * _splus(k, rp))
     return t, v, amp, None
 
 
@@ -163,7 +169,7 @@ def _atom_segment(t: np.ndarray, rp: ReducedParams):
     g = np.sqrt(2.0 * rp.k0 - t * t)
     x = -rp.k0 + t * t
     q = t * g
-    amp = -(2.0 * t * t / g) / (splus_array(x, rp) * (a * a + q * q))
+    amp = -(2.0 * t * t / g) / (_splus(x, rp) * (a * a + q * q))
     return -1j * x, q, amp, (a + 1j * q) / (a - 1j * q)
 
 
@@ -172,7 +178,7 @@ def _atom_leg(t: np.ndarray, rp: ReducedParams):
     a = rp.a
     k = -1j * t
     v = np.sqrt(rp.k0 * rp.k0 + t * t)
-    amp = -(rp.k0 + k) / v / ((t * t + rp.K * rp.K) * splus_array(k, rp))
+    amp = -(rp.k0 + k) / v / ((t * t + rp.K * rp.K) * _splus(k, rp))
     return -t, v, amp, (a + 1j * v) / (a - 1j * v)
 
 
@@ -345,6 +351,13 @@ def psi_unified(R: float, y: float, rp: ReducedParams, eps: float = 1e-3,
     psi_unified_extrapolated removes it.  eps below ~2e-5 K is rejected:
     the line-to-pole distance shrinks like 0.05 eps and the quadrature
     can no longer resolve the pole spike.
+
+    The line (-X, X) is cut into about two dozen intervals, graded
+    towards -+Re K and -+k0.  They go to one multi-piece ``integrate``
+    call, which refines each interval to its own share of tol but
+    evaluates the integrand (and so S+) once per refinement round for
+    the whole line; the two truncation-end values f(+-X) take one more
+    integrand call.
     """
     if R == 0.0:
         raise ValueError("the two contour closures degenerate at R = 0")
@@ -374,28 +387,20 @@ def psi_unified(R: float, y: float, rp: ReducedParams, eps: float = 1e-3,
                      p + 0.4])
     edges = sorted({-X, X, *[e for e in cuts if -X < e < X]})
     hint = 2.0 * PI / (aR + ay + 1.0)
-    total = 0j
-    err = 0.0
-    ok = True
-    neval = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        spec = QuadratureSpec(Kind.FINITE, (lo, hi),
-                              tol=tol / (len(edges) - 1),
-                              oscillation_hint=hint, max_subdivisions=6000)
-        res = integrate(f, spec)
-        total += res.value
-        err += res.err_est
-        ok = ok and res.converged
-        neval += res.evaluations
+    res = integrate(f, *[QuadratureSpec(Kind.FINITE, (lo, hi),
+                                        tol=tol / (len(edges) - 1),
+                                        oscillation_hint=hint,
+                                        max_subdivisions=6000)
+                         for lo, hi in zip(edges[:-1], edges[1:])])
+    total = res.value
+    err = res.err_est
     # one-step integration-by-parts truncation correction at both ends
-    if aR > 0:
-        fX = complex(f(np.array([X]))[0])
-        fmX = complex(f(np.array([-X]))[0])
-        total += (fX - fmX) / (1j * R)
-        err += (abs(fX) + abs(fmX)) / (R * R * X) * 10.0
+    fX, fmX = f(np.array([X, -X])).tolist()
+    total += (fX - fmX) / (1j * R)
+    err += (abs(fX) + abs(fmX)) / (R * R * X) * 10.0
     pref = rp.a * alpha / (2.0 * PI)
     return WaveSample(R, y, pref * total, abs(pref) * err,
-                      Method.UNIFIED_A7, ok)
+                      Method.UNIFIED_A7, res.converged)
 
 
 def psi_unified_extrapolated(R: float, y: float, rp: ReducedParams,

@@ -66,13 +66,24 @@ class FactorValue:
 
 
 def splus_array(k, rp: ReducedParams) -> np.ndarray:
-    """Vectorized closed-form S+ on an array of k (no confluence guard)."""
+    """Vectorized closed-form S+ on an array of k (no confluence guard).
+
+    Real k is taken as the limit from above, the side the J integral
+    (j_direct) takes."""
     arr = np.ascontiguousarray(np.atleast_1d(k), dtype=np.complex128)
+    cut = (arr.imag == 0.0) & (arr.real < -rp.k0)
+    if cut.any():
+        # real k < -k0 lies on the closed form's own cuts, where the
+        # principal roots and Li2 take the far side; S+ is analytic just
+        # above, so a shift of 1e-150 |k| gives the limit from above
+        arr = arr.copy()
+        arr.imag[cut] = -1e-150 * arr.real[cut]
     return _backend.splus(arr.ravel(), rp.a, rp.k0, rp.K).reshape(arr.shape)
 
 
 def splus(k: complex, rp: ReducedParams) -> complex:
-    """Closed-form plus factor S+(k), valid for Im k >= 0, k != +-K.
+    """Closed-form plus factor S+(k), valid for Im k >= 0, k != +-K, real
+    k taken as the limit from above (see splus_array).
 
     Raises
     ------
@@ -83,7 +94,7 @@ def splus(k: complex, rp: ReducedParams) -> complex:
     guard = 1e-12 * max(rp.K, 1.0)
     if abs(k - rp.K) < guard or abs(k + rp.K) < guard:
         raise ConfluenceError("confluence of singularities at k = +-K")
-    return complex(_backend.splus(np.array([k]), rp.a, rp.k0, rp.K)[0])
+    return complex(splus_array(k, rp)[0])
 
 
 @functools.lru_cache(maxsize=256)
@@ -200,20 +211,12 @@ def _j_rotated(k: complex, rp: ReducedParams, tol: float):
 
     kv = abs(k)
     cuts = sorted({math.atan(k0 / kv), math.atan(rp.K / kv)})
-    total = 0j
-    err = 0.0
-    evals = 0
     edges = [0.0] + [c for c in cuts if 0.0 < c < PI / 2] + [PI / 2]
-    ok = True
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        spec = QuadratureSpec(Kind.FINITE, (lo, hi), tol=tol / len(edges),
-                              oscillation_hint=(hi - lo) / 4)
-        res = integrate(f, spec)
-        total += res.value
-        err += res.err_est
-        evals += res.evaluations
-        ok = ok and res.converged
-    return total / PI, err / PI, evals, ok
+    res = integrate(f, *[QuadratureSpec(Kind.FINITE, (lo, hi),
+                                        tol=tol / len(edges),
+                                        oscillation_hint=(hi - lo) / 4)
+                         for lo, hi in zip(edges[:-1], edges[1:])])
+    return res.value / PI, res.err_est / PI, res.evaluations, res.converged
 
 
 def j_axis(k: complex, rp: ReducedParams, tol: float = 1e-10):
@@ -280,6 +283,8 @@ def j_direct(k: complex, rp: ReducedParams, tol: float = 1e-9) -> complex:
     k = complex(k)
     if k.imag < 0.0:
         raise ValueError("j_direct requires Im k >= 0")
+    if k == -rp.k0:
+        raise ValueError("J(k) diverges at k = -k0, the zero of S+")
     if k.imag == 0.0:
         d = 1e-6 * max(1.0, abs(k))
         v1 = j_direct(complex(k.real, d), rp, tol)

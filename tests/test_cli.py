@@ -72,6 +72,38 @@ def test_factor_oracle_grid(tmp_path, capsys):
     assert len(rows) == 10
 
 
+@pytest.mark.parametrize("grid", ["re:-3:3:7", "re:-3:-2.5:2"])
+@pytest.mark.parametrize("oracle", [True, False])
+def test_factor_real_axis_left_of_minus_k0(tmp_path, capsys, grid, oracle):
+    # real k < -k0 lies on the closed form's own cuts: S+ must be the limit
+    # from above (the side j_direct takes); k = -k0 is the zero of S+,
+    # where J diverges and the relative oracle deviation is undefined
+    from wavecut.model import ReducedParams
+    from wavecut.wiener_hopf import j_direct
+
+    rc = main(["factor", "--a", "1", "--k0", "2", f"--k-grid={grid}",
+               "--out", str(tmp_path)] + (["--check-oracle"] if oracle else []))
+    err = capsys.readouterr().err
+    if oracle and grid == "re:-3:3:7":
+        assert rc == 2
+        assert "k = -k0" in err
+        assert not (tmp_path / "factor.csv").exists()
+        return
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "factor.csv")
+    rp = ReducedParams.from_a_k0(1.0, 2.0)
+    for row in rows:
+        k = complex(float(row[0]), float(row[1]))
+        val = complex(float(row[2]), float(row[3]))
+        if k == -2.0:
+            assert val == 0
+            continue
+        ref = np.exp(-j_direct(k, rp, tol=1e-9))
+        assert abs(val - ref) <= 1e-6 * abs(ref), (k, val, ref)
+    assert abs(complex(float(rows[0][2]), float(rows[0][3]))
+               - (0.70106 + 0.09230j)) < 1e-5
+
+
 def test_factor_requires_input(tmp_path):
     assert main(["factor", "--out", str(tmp_path)]) == 2
 

@@ -133,3 +133,120 @@ def test_empty_interval():
     res = integrate(lambda x: x + 0j,
                     QuadratureSpec(Kind.FINITE, (1.0, 1.0)))
     assert res.value == 0j and res.converged
+
+
+# ----------------------------------------------------------------------
+# several pieces in one call
+# ----------------------------------------------------------------------
+
+def _captured_calls(monkeypatch, module, call):
+    """(integrand, specs) of every integrate call the module makes."""
+    seen = []
+    real = module.integrate
+
+    def record(f, *specs, **kwargs):
+        seen.append((f, specs))
+        return real(f, *specs, **kwargs)
+
+    monkeypatch.setattr(module, "integrate", record)
+    call()
+    return seen
+
+
+def _counting(f):
+    def g(x):
+        g.calls += 1
+        return f(x)
+    g.calls = 0
+    return g
+
+
+def _assert_pieces_batch_exactly(f, specs):
+    """One multi-piece call equals the single-piece calls summed in spec
+    order from 0j/0.0, bit for bit, and makes one integrand call per
+    refinement round of its slowest piece."""
+    assert len(specs) > 1
+    value, err, evals, ok, calls = 0j, 0.0, 0, True, []
+    for spec in specs:
+        g = _counting(f)
+        res = integrate(g, spec)
+        value += res.value
+        err += res.err_est
+        evals += res.evaluations
+        ok = ok and res.converged
+        calls.append(g.calls)
+    g = _counting(f)
+    res = integrate(g, *specs)
+    assert res.value == value
+    assert res.err_est == err
+    assert res.evaluations == evals
+    assert res.converged == ok
+    assert g.calls == max(calls)
+    return g.calls, sum(calls)
+
+
+@pytest.mark.parametrize("R, y", [(3.0, 1.0), (-6.5, 2.25)])
+@pytest.mark.parametrize("eps", [3e-3, 1e-3, 3e-4])
+def test_unified_line_pieces_batch_exactly(monkeypatch, R, y, eps):
+    from wavecut import wavefunction as wf
+    from wavecut.model import ReducedParams
+
+    rp = ReducedParams.from_a_k0(1.0, 2.0)
+    seen = _captured_calls(monkeypatch, wf, lambda: wf.psi_unified(
+        R, y, rp, eps=eps, tol=1e-7))
+    assert len(seen) == 1
+    f, specs = seen[0]
+    assert len(specs) > 20
+    calls, separate = _assert_pieces_batch_exactly(f, specs)
+    if (R, y, eps) == (3.0, 1.0, 1e-3):
+        # one call per round (plus the initial one), not one per piece
+        # and round
+        assert calls <= 10 < 50 <= separate
+
+
+@pytest.mark.parametrize("a, k0, k", [(1.0, 2.0, 1.0 + 0.5j),
+                                      (1.0, 2.0, 3.0 + 1.0j),
+                                      (0.5, 3.0, 2.0 + 0.1j)])
+def test_j_rotated_pieces_batch_exactly(monkeypatch, a, k0, k):
+    from wavecut import wiener_hopf as wh
+    from wavecut.model import ReducedParams
+
+    rp = ReducedParams.from_a_k0(a, k0)
+    seen = _captured_calls(monkeypatch, wh,
+                           lambda: wh._j_rotated(k, rp, 1e-9))
+    assert len(seen) == 1
+    _assert_pieces_batch_exactly(*seen[0])
+
+
+def test_multi_piece_empty_and_ray_pieces():
+    # an empty interval contributes an exact 0j; a ray rides along
+    f = lambda x: np.exp(-x) + 0j  # noqa: E731
+    specs = (QuadratureSpec(Kind.FINITE, (0.0, 1.0), tol=1e-12),
+             QuadratureSpec(Kind.FINITE, (1.0, 1.0)),
+             QuadratureSpec(Kind.DECAYING_RAY, (1.0, 1.0, 1.0), tol=1e-12))
+    res = integrate(f, *specs)
+    assert abs(res.value - 1.0) < 1e-12
+    assert res.converged
+    _assert_pieces_batch_exactly(f, specs)
+
+
+def test_multi_piece_convergence_is_all_pieces():
+    def f(x):
+        return 1.0 / (np.abs(x - 0.5) + 1e-15) + 0j
+
+    hard = QuadratureSpec(Kind.FINITE, (0.0, 1.0), tol=1e-12,
+                          max_subdivisions=8)
+    easy = QuadratureSpec(Kind.FINITE, (2.0, 3.0), tol=1e-12)
+    res = integrate(f, easy, hard)
+    assert not res.converged
+    assert integrate(f, easy).converged
+    # the hard piece stops at its own split budget (8 initial panels, at
+    # most one round of up to 64 splits past the budget), while the easy
+    # one converges on its own
+    assert integrate(f, hard).evaluations <= 15 * (8 + 2 * (8 + 64))
+    _assert_pieces_batch_exactly(f, (easy, hard))
+
+
+def test_integrate_needs_a_spec():
+    with pytest.raises(TypeError):
+        integrate(lambda x: x + 0j)
