@@ -153,11 +153,8 @@ def _build_piece(spec: QuadratureSpec) -> Optional[_Piece]:
     return _identity_piece(a, b)
 
 
-def _initial_panels(piece: _Piece, spec: QuadratureSpec,
-                    override: Optional[int]) -> np.ndarray:
-    if override is not None:
-        n = max(1, int(override))
-    elif spec.oscillation_hint is not None and spec.oscillation_hint > 0:
+def _initial_panels(piece: _Piece, spec: QuadratureSpec) -> np.ndarray:
+    if spec.oscillation_hint is not None and spec.oscillation_hint > 0:
         cap = spec.oscillation_hint / 4.0
         n = int(min(16384, max(2, math.ceil(piece.xspan / cap))))
     else:
@@ -243,8 +240,7 @@ class _Run:
                           err <= self.spec.tol)
 
 
-def integrate(f, *specs: QuadratureSpec,
-              initial_panels: Optional[int] = None) -> QuadResult:
+def integrate(f, *specs: QuadratureSpec) -> QuadResult:
     """Integrate a complex-valued vectorized integrand over one or more
     pieces.
 
@@ -264,9 +260,6 @@ def integrate(f, *specs: QuadratureSpec,
         same length, each depending on its own abscissa only.
     *specs : QuadratureSpec
         The pieces, at least one.
-    initial_panels : int, optional
-        Override the initial panel count of every piece (testing hook:
-        results must be stable under halving/doubling).
 
     Returns
     -------
@@ -282,7 +275,7 @@ def integrate(f, *specs: QuadratureSpec,
     live = [run for run in runs if run.piece is not None]  # empty: no panels
     xs = []
     for run in live:
-        edges = _initial_panels(run.piece, run.spec, initial_panels)
+        edges = _initial_panels(run.piece, run.spec)
         xs.append(run.stage(edges[:-1], edges[1:]))
     while live:
         fx = np.asarray(f(xs[0] if len(xs) == 1 else np.concatenate(xs)),

@@ -14,13 +14,10 @@ Cauchy-integral representation
     S+(k) = exp(-J(k)),
     J(k)  = (k/(pi i)) int_0^inf Log[1 + a/sqrt(u^2-k0^2)] du/(u^2 - k^2),
 
-evaluated by brute-force quadrature (j_direct) of smooth integrands
-only.  For Re k > 0 the contour is rotated onto u = -i k s; the identity
-int_0^inf Log(s^2+c^2)/(s^2+1) ds = pi Log(1+c), c = k0/k, removes the
-log-singular part, leaving one integral that vanishes at s = inf
-(_j_rotated).  For Re k <= 0, where the rotation would sweep the k0
-branch cut and the u = -k pole, it runs along the real axis with the
-inverse square root at u = k0 mapped away by u = k0 -+ t^2 (j_axis).
+evaluated by brute-force quadrature (j_direct) along the real u axis.
+One substitution u = k0 -+ v^4 maps the branch point u = k0 to v = 0,
+where the density vanishes like v^3 ln|v|, so every k is one integrate
+call on one smooth density (j_axis).
 """
 
 from __future__ import annotations
@@ -137,13 +134,12 @@ def _minus_K_delta(rp: ReducedParams) -> float:
     return min(max(1e-4 * rp.a ** 3 / rp.K ** 2, 1e-10 * rp.K), 0.05 * rp.K)
 
 
-def splus_minus_K_limit(rp: ReducedParams, deltas=None) -> complex:
-    """S+(-K + i delta) extrapolated to delta = 0 (quadratic Richardson).
-    Probes the generic closed form right at the confluence."""
-    if deltas is None:
-        d0 = _minus_K_delta(rp)
-        deltas = (4.0 * d0, 2.0 * d0, d0)
-    ds = list(deltas)
+def splus_minus_K_limit(rp: ReducedParams) -> complex:
+    """S+(-K + i delta) extrapolated to delta = 0 (quadratic Richardson
+    on delta = 4 d, 2 d, d).  Probes the generic closed form right at the
+    confluence."""
+    d0 = _minus_K_delta(rp)
+    ds = [4.0 * d0, 2.0 * d0, d0]
     vs = splus_array([complex(-rp.K, d) for d in ds], rp).tolist()
     # Neville elimination of the leading delta and delta^2 terms
     v01 = (ds[0] * vs[1] - ds[1] * vs[0]) / (ds[0] - ds[1])
@@ -186,99 +182,56 @@ def sigma_plus(k: complex, rp: ReducedParams) -> complex:
 # direct J-integral oracle
 # ----------------------------------------------------------------------
 
-def _j_rotated(k: complex, rp: ReducedParams, tol: float):
-    """Rotated-contour form, Re k > 0, with c the principal root of
-    (k0/k)^2 (Re c > 0: j_direct sends Re k = 0 to the axis form).
-
-    On u = -i k s the density becomes Log[sqrt(s^2+c^2) + i a/k]/(s^2+1).
-    Splitting the Log as Log[sqrt(s^2+c^2)] + Log[1 + i a/(k sqrt(...))]
-    anchors its branch at s = inf, and the first term integrates to
-    (pi/2) Log(1 + c), which cancels the closed second integral
-    (1/2) Log(1 + c) of the rotation (j_second_integral_check).  What
-    remains is
-
-        J(k) = (1/pi) int_0^{pi/2} Log[1 + i a/(k sqrt(tan^2 th + c^2))] dth,
-
-    s = tan(th), whose integrand is smooth and vanishes at th = pi/2.
-    """
-    a, k0 = rp.a, rp.k0
-    ksq = (k0 / k) ** 2
-    iak = 1j * a / k
-
-    def f(theta: np.ndarray) -> np.ndarray:
-        t = np.tan(theta)
-        return np.log(1.0 + iak / np.sqrt(t * t + ksq))
-
-    kv = abs(k)
-    cuts = sorted({math.atan(k0 / kv), math.atan(rp.K / kv)})
-    edges = [0.0] + [c for c in cuts if 0.0 < c < PI / 2] + [PI / 2]
-    res = integrate(f, *[QuadratureSpec(Kind.FINITE, (lo, hi),
-                                        tol=tol / len(edges),
-                                        oscillation_hint=(hi - lo) / 4)
-                         for lo, hi in zip(edges[:-1], edges[1:])])
-    return res.value / PI, res.err_est / PI, res.evaluations, res.converged
-
-
 def j_axis(k: complex, rp: ReducedParams, tol: float = 1e-10):
-    """Validation path: Eq-of-definition quadrature along the real
-    axis, J(k) = (k/(pi i)) int_0^inf Log[1 + a/w(u)] du/(u^2-k^2) with
-    w(u) = -i sqrt(k0^2-u^2) on (0, k0).  Valid for any Im k > 0.
+    """J(k) = (k/(pi i)) int_0^inf Log[1 + a/w(u)] du/(u^2-k^2) along the
+    real axis, w(u) = -i sqrt(k0^2-u^2) on the gap (0, k0); valid for any
+    Im k > 0.  Returns (value, err_est, evaluations, converged).
 
-    The inverse square root of w at u = k0 is removed before quadrature:
-    u = k0 - t^2 on (0, k0) and u = k0 + t^2 on (k0, U), U = 12 k0 + 4|k|,
-    give |u^2 - k0^2| = t^2 |2 k0 -+ t^2| and densities such as
-    2t Log[1 + i a/(t sqrt(2k0 - t^2))]/(u^2 - k^2), which vanish like
-    t ln t at the branch point.  The decaying ray beyond U is smooth.
+    One variable v carries the whole axis: u = k0 - v^4 on the gap
+    (v < 0) and u = k0 + v^4 beyond it (v > 0), so |u^2 - k0^2| =
+    v^4 (u + k0) and the density
+
+        4|v|^3 Log[1 + c/(v^2 sqrt(u + k0))]/(u^2 - k^2),
+
+    c = i a for v < 0 and c = a for v > 0, vanishes like v^3 ln|v| at the
+    branch point (Davis & Rabinowitz, Methods of Numerical Integration,
+    1984, section 2.9).  Its pieces (-k0^(1/4), 0), (0, V) and the ray from
+    V = (11 k0 + 4|k|)^(1/4), where u = 12 k0 + 4|k|, go to one integrate
+    call.
     """
     a, k0 = rp.a, rp.k0
     k2 = k * k
-    U = 12.0 * k0 + 4 * abs(k)
 
-    def dens_inside(t: np.ndarray) -> np.ndarray:
-        u = k0 - t * t
-        w = t * np.sqrt(2.0 * k0 - t * t)
-        return 2.0 * t * np.log(1.0 + 1j * a / w) / (u * u - k2)
+    def f(v: np.ndarray) -> np.ndarray:
+        v2 = v * v
+        av3 = v2 * np.abs(v)
+        u = k0 + v * av3
+        c = np.where(v < 0.0, 1j * a, a)
+        w = v2 * np.sqrt(u + k0)  # |u^2 - k0^2|^(1/2)
+        return 4.0 * av3 * np.log(1.0 + c / w) / (u * u - k2)
 
-    def dens_outside(t: np.ndarray) -> np.ndarray:
-        u = k0 + t * t
-        w = t * np.sqrt(2.0 * k0 + t * t)
-        return 2.0 * t * np.log(1.0 + a / w) / (u * u - k2)
-
-    def dens_ray(u: np.ndarray) -> np.ndarray:
-        return np.log(1.0 + a / np.sqrt(u * u - k0 * k0)) / (u * u - k2)
-
-    total = 0j
-    err = 0.0
-    evals = 0
-    ok = True
-    # initial panels in t: 2 on (0, sqrt(k0)), ceil(sqrt(11 + 4|k|/k0))
-    # on (0, sqrt(U - k0)); adaptive bisection does the rest
-    sk0 = math.sqrt(k0)
-    for f, spec in [
-        (dens_inside, QuadratureSpec(Kind.FINITE, (0.0, sk0), tol=tol / 3,
-                                     oscillation_hint=8 * sk0)),
-        (dens_outside, QuadratureSpec(Kind.FINITE, (0.0, math.sqrt(U - k0)),
-                                      tol=tol / 3, oscillation_hint=4 * sk0)),
-        (dens_ray, QuadratureSpec(Kind.DECAYING_RAY, (U, 1.0, 0.05),
-                                  tol=tol / 3)),
-    ]:
-        res = integrate(f, spec)
-        total += res.value
-        err += res.err_est
-        evals += res.evaluations
-        ok = ok and res.converged
-    return k / (PI * 1j) * total, abs(k) * err / PI, evals, ok
+    q = k0 ** 0.25
+    V = (11.0 * k0 + 4.0 * abs(k)) ** 0.25
+    res = integrate(
+        f,
+        QuadratureSpec(Kind.FINITE, (-q, 0.0), tol=tol / 3,
+                       oscillation_hint=4.0 * q),
+        QuadratureSpec(Kind.FINITE, (0.0, V), tol=tol / 3,
+                       oscillation_hint=V / 2),
+        QuadratureSpec(Kind.DECAYING_RAY, (V, 1.0, 0.5 / V), tol=tol / 3))
+    return (k / (PI * 1j) * res.value, abs(k) * res.err_est / PI,
+            res.evaluations, res.converged)
 
 
 def j_direct(k: complex, rp: ReducedParams, tol: float = 1e-9) -> complex:
-    """J(k) by numerical quadrature; S+(k) = exp(-J(k)) is the brute-force
+    """J(k) by quadrature (j_axis); S+(k) = exp(-J(k)) is the brute-force
     oracle for the closed form.
 
-    Im k > 0 strictly; real k is resolved as the limit from above with
-    delta = 1e-6 and one Richardson step.  Re k > 0 uses the rotated form
-    (_j_rotated); Re k <= 0, and Re k > 0 where the rotated Log could
-    wind, use the real-axis form (j_axis).  Both integrate smooth
-    densities: neither resolves an endpoint singularity by bisection.
+    Real k is the limit from above, from steps delta and 2 delta and one
+    Richardson step; J ~ -Log(k + k0)/2 near -k0, so delta shrinks with
+    |k + k0|.  Raises ValueError for Im k < 0 and at k = -k0, and
+    ArithmeticError when the quadrature fails, e.g. on real k so close to
+    -k0 that the pole u = -k pinches the branch point u = k0.
     """
     k = complex(k)
     if k.imag < 0.0:
@@ -286,23 +239,11 @@ def j_direct(k: complex, rp: ReducedParams, tol: float = 1e-9) -> complex:
     if k == -rp.k0:
         raise ValueError("J(k) diverges at k = -k0, the zero of S+")
     if k.imag == 0.0:
-        d = 1e-6 * max(1.0, abs(k))
+        d = min(1e-6 * max(1.0, abs(k)), 1e-4 * abs(k + rp.k0))
         v1 = j_direct(complex(k.real, d), rp, tol)
         v2 = j_direct(complex(k.real, 2 * d), rp, tol)
         return 2.0 * v1 - v2
-    use_rotated = k.real > 1e-12 * abs(k)
-    if use_rotated:
-        # the rotated Log can wind around zero when a/(k sqrt(s^2+(k0/k)^2))
-        # reaches modulus 1 somewhere on the path; fall back to the axis
-        # form in that regime
-        ksq = (rp.k0 / k) ** 2
-        m = abs(ksq) if ksq.real >= 0.0 else abs(ksq.imag)
-        if m <= 0.0 or rp.a / (abs(k) * math.sqrt(m)) >= 0.9:
-            use_rotated = False
-    if use_rotated:
-        value, err, _, ok = _j_rotated(k, rp, tol)
-    else:
-        value, err, _, ok = j_axis(k, rp, tol)
+    value, err, _, ok = j_axis(k, rp, tol)
     if not ok and err > 100.0 * tol:
         raise ArithmeticError(
             f"J({k}) quadrature did not converge: err_est={err:.2e}")
@@ -310,12 +251,13 @@ def j_direct(k: complex, rp: ReducedParams, tol: float = 1e-9) -> complex:
 
 
 def j_second_integral_check(k: complex, rp: ReducedParams) -> float:
-    """Self-check of the identity behind the rotated form:
-    |int_0^inf Log[s^2+(k0/k)^2]/(s^2+1) ds - pi Log(1 + c)|, c the
-    principal root of (k0/k)^2.  _j_rotated relies on it to drop both
-    the log-singular half of its density and the closed second integral
-    (1/2) Log(1 + c), which cancel exactly.  Also covers real negative
-    (k0/k)^2 (Re k = 0), on the limit from Im k > 0."""
+    """Residual |int_0^inf Log[s^2+c^2]/(s^2+1) ds - pi Log(1 + c)|,
+    c the principal root of (k0/k)^2.
+
+    This is the alpha = 0 case of the Appendix B log integral
+    (appendix_b_closed) at complex c, which the closed form there covers
+    only for real c >= 1.  Real negative (k0/k)^2 (Re k = 0) is taken as
+    the limit from Im k > 0."""
     ksq = (rp.k0 / k) ** 2
     neg_axis = ksq.imag == 0.0 and ksq.real < 0.0
 

@@ -72,6 +72,17 @@ def test_factor_oracle_grid(tmp_path, capsys):
     assert len(rows) == 10
 
 
+def test_factor_oracle_real_axis_near_minus_k0(tmp_path, capsys):
+    # the oracle's limit from above shrinks its step as k nears -k0
+    rc = main(["factor", "--a", "1", "--k0", "2",
+               "--k-grid=re:-2.01:-2.0001:3", "--check-oracle",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    dev = float(out.split("max rel dev closed form vs exp(-J):")[1].split()[0])
+    assert dev <= 1e-6
+
+
 @pytest.mark.parametrize("grid", ["re:-3:3:7", "re:-3:-2.5:2"])
 @pytest.mark.parametrize("oracle", [True, False])
 def test_factor_real_axis_left_of_minus_k0(tmp_path, capsys, grid, oracle):

@@ -71,11 +71,12 @@ def test_initial_panel_halving_invariance():
     def f(x):
         return np.exp(50j * x) / (x * x + 1.0)
 
-    spec = QuadratureSpec(Kind.FINITE, (0.0, 10.0), tol=1e-11,
-                          oscillation_hint=2.0 * math.pi / 50.0)
-    r1 = integrate(f, spec, initial_panels=200)
-    r2 = integrate(f, spec, initial_panels=100)
-    assert abs(r1.value - r2.value) <= 2.0 * spec.tol
+    # hints 0.2 and 0.4 start from 200 and 100 panels on (0, 10)
+    s1, s2 = (QuadratureSpec(Kind.FINITE, (0.0, 10.0), tol=1e-11,
+                             oscillation_hint=h) for h in (0.2, 0.4))
+    r1 = integrate(f, s1)
+    r2 = integrate(f, s2)
+    assert abs(r1.value - r2.value) <= 2.0 * s1.tol
 
 
 def test_interval_splitting_consistency():
@@ -206,14 +207,16 @@ def test_unified_line_pieces_batch_exactly(monkeypatch, R, y, eps):
 
 @pytest.mark.parametrize("a, k0, k", [(1.0, 2.0, 1.0 + 0.5j),
                                       (1.0, 2.0, 3.0 + 1.0j),
-                                      (0.5, 3.0, 2.0 + 0.1j)])
+                                      (0.5, 3.0, 2.0 + 0.1j),
+                                      (1.0, 2.0, -1.0 + 0.5j)])
 def test_j_rotated_pieces_batch_exactly(monkeypatch, a, k0, k):
+    # the pieces of the J oracle (j_axis), for either sign of Re k
     from wavecut import wiener_hopf as wh
     from wavecut.model import ReducedParams
 
     rp = ReducedParams.from_a_k0(a, k0)
     seen = _captured_calls(monkeypatch, wh,
-                           lambda: wh._j_rotated(k, rp, 1e-9))
+                           lambda: wh.j_axis(k, rp, 1e-9))
     assert len(seen) == 1
     _assert_pieces_batch_exactly(*seen[0])
 
