@@ -26,8 +26,7 @@ from .model import PhysicalParams, ReducedParams, reduce_params
 from .output import SCHEMAS, write_table
 from .validate import run_all
 from .wavefunction import Method, far_field, scan_grid, steepest_descent
-from .wiener_hopf import (FactorMethod, FactorValue, j_direct, splus,
-                          splus_at_K)
+from .wiener_hopf import j_direct, splus, splus_at_K
 
 DEFAULTS = {"a": 1.0, "k0": 2.0, "hbar": 1.0, "tol": 1e-6, "format": "csv"}
 
@@ -129,48 +128,68 @@ def _outfile(cfg: RunConfig, stem: str) -> Path:
 def cmd_factor(args) -> int:
     cfg = resolve_config(args)
     rp = cfg.params
-    values: list[FactorValue] = []
+    ks, vals, errs = [], [], []
     if args.at_K:
         v = splus_at_K(rp)
-        values.append(FactorValue(complex(rp.K), v, FactorMethod.CLOSED_FORM,
-                                  0.0))
+        ks.append(complex(rp.K))
+        vals.append(v)
+        errs.append(0.0)
         print(f"S+(K) = {v.real:+.7f}{v.imag:+.7f}i   |S+(K)| = {abs(v):.7f}")
     if args.k_grid:
-        ks = parse_k_grid(args.k_grid)
-        if len(ks) == 0:
+        k_grid = parse_k_grid(args.k_grid).astype(complex).tolist()
+        if not k_grid:
             raise UsageError("empty k grid")
-        max_dev = 0.0
-        for k in ks:
-            val = splus(complex(k), rp)
+        for k in k_grid:
+            val = splus(k, rp)
             err = 0.0
             if args.check_oracle:
-                oracle = cmath.exp(-j_direct(complex(k), rp, tol=cfg.tol))
+                oracle = cmath.exp(-j_direct(k, rp, tol=cfg.tol))
                 err = abs(val - oracle) / abs(val)
-                max_dev = max(max_dev, err)
-            values.append(FactorValue(complex(k), val,
-                                      FactorMethod.CLOSED_FORM, err))
+            ks.append(k)
+            vals.append(val)
+            errs.append(err)
         if args.check_oracle:
-            print(f"max rel dev closed form vs exp(-J): {max_dev:.3e}")
-    if not values:
+            print(f"max rel dev closed form vs exp(-J): {max(0.0, *errs):.3e}")
+    if not ks:
         raise UsageError("factor: need --k-grid and/or --at-K")
-    rows = [[f.k.real, f.k.imag, f.splus.real, f.splus.imag, f.method.value,
-             f.err_est] for f in values]
+    table = dict(zip(SCHEMAS["factor"], [
+        [k.real for k in ks], [k.imag for k in ks],
+        [v.real for v in vals], [v.imag for v in vals],
+        ["closed_form"] * len(ks), errs]))
     path = _outfile(cfg, "factor")
-    write_table(path, cfg.fmt, SCHEMAS["factor"], rows,
-                _metadata(cfg, "factor"))
+    write_table(path, cfg.fmt, table, _metadata(cfg, "factor"))
     print(f"wrote {path}")
     return 0
 
 
-def _grid_rows(grid) -> list:
-    rows = []
-    for i, R in enumerate(grid.R_values):
-        for j, y in enumerate(grid.y_values):
-            p = grid.samples[i, j]
-            rows.append([float(R), float(y), p.real, p.imag, abs(p) ** 2,
-                         float(grid.err[i, j]), grid.method.value,
-                         bool(grid.converged[i, j])])
-    return rows
+def _product(R_vals, y_vals) -> tuple[list, list]:
+    """R and y columns of the R-major product grid."""
+    return (np.repeat(R_vals, len(y_vals)).tolist(),
+            np.tile(y_vals, len(R_vals)).tolist())
+
+
+def _psi_columns(psi: list) -> list:
+    """re, im and abs2 of a list of Python complex values.  abs2 is
+    abs(p) ** 2 per value: NumPy's vectorized abs differs in the last bit."""
+    return [[p.real for p in psi], [p.imag for p in psi],
+            [abs(p) ** 2 for p in psi]]
+
+
+def _grid_table(grid, schema: str) -> dict:
+    """A grid's table in one of the grid schemas: every sample
+    (wavefunction), |psi|^2 along y on the single R row (yscan), or
+    |psi|^2 along R, one column per y (rscan)."""
+    ny = len(grid.y_values)
+    re, im, abs2 = _psi_columns(grid.samples.ravel().tolist())
+    if schema == "yscan":
+        cols = [grid.y_values.tolist(), abs2]
+    elif schema == "rscan":
+        cols = [grid.R_values.tolist(), *(abs2[j::ny] for j in range(ny))]
+    else:
+        cols = [*_product(grid.R_values, grid.y_values), re, im, abs2,
+                grid.err.ravel().tolist(), [grid.method.value] * len(re),
+                grid.converged.ravel().tolist()]
+    return dict(zip(SCHEMAS[schema], cols))
 
 
 def cmd_wavefunction(args) -> int:
@@ -181,9 +200,8 @@ def cmd_wavefunction(args) -> int:
         raise UsageError("R grid must exclude the region boundary R = 0")
     grid = scan_grid(R_vals, y_vals, cfg.params, tol=cfg.tol,
                      method=cfg.method)
-    rows = _grid_rows(grid)
     path = _outfile(cfg, "wavefunction")
-    write_table(path, cfg.fmt, SCHEMAS["wavefunction"], rows,
+    write_table(path, cfg.fmt, _grid_table(grid, "wavefunction"),
                 _metadata(cfg, "wavefunction"))
     n_bad = int((~grid.converged).sum())
     frac = n_bad / grid.converged.size
@@ -192,82 +210,61 @@ def cmd_wavefunction(args) -> int:
     return 3 if frac > 0.10 else 0
 
 
+_LAWS = {"far32": far_field, "sd35": steepest_descent}
+
+
 def cmd_asymptotics(args) -> int:
     cfg = resolve_config(args)
-    rp = cfg.params
     R_vals = parse_grid(args.R)
     y_vals = parse_grid(args.y)
     law = args.law
-    rows = []
-    for R in R_vals:
-        for y in y_vals:
-            if law == "far32":
-                if R >= 0:
-                    raise UsageError("far32 needs R < 0")
-                p = far_field(float(R), float(y), rp).psi
-            else:
-                if R <= 0:
-                    raise UsageError("sd35 needs R > 0")
-                p = steepest_descent(float(R), float(y), rp)
-            rows.append([float(R), float(y), p.real, p.imag, abs(p) ** 2,
-                         law])
+    if law == "far32" and np.any(R_vals >= 0):
+        raise UsageError("far32 needs R < 0")
+    if law == "sd35" and np.any(R_vals <= 0):
+        raise UsageError("sd35 needs R > 0")
+    Rs, ys = _product(R_vals, y_vals)
+    psi = [_LAWS[law](R, y, cfg.params) for R, y in zip(Rs, ys)]
+    table = dict(zip(SCHEMAS["asymptotics"],
+                     [Rs, ys, *_psi_columns(psi), [law] * len(psi)]))
     path = _outfile(cfg, f"asymptotics_{law}")
-    write_table(path, cfg.fmt, SCHEMAS["asymptotics"], rows,
-                _metadata(cfg, f"asymptotics {law}"))
+    write_table(path, cfg.fmt, table, _metadata(cfg, f"asymptotics {law}"))
     print(f"wrote {path}")
     return 0
 
 
-_FIG_DEFS = {
-    "fig1": "ionized-region |psi|^2 over (R < 0, y)",
-    "fig2": "Re psi and Im psi over (R < 0, y)",
-    "fig3": "|psi(-10, y)|^2 against y",
-    "fig4": "|psi(R, 0)|^2 and |psi(R, 0.5)|^2 for R > 0",
+# name: (description, R values, y values, method, schema).  The
+# free-region panels (fig1-fig3) are drawn from the segment approximation,
+# the form the original figures were computed from; fig4 uses the exact
+# regional field.
+_FIGURES = {
+    "fig1": ("ionized-region |psi|^2 over (R < 0, y)",
+             np.linspace(-8.0, -0.25, 32), np.linspace(0.0, 6.0, 31),
+             Method.APPROX_31, "wavefunction"),
+    "fig2": ("Re psi and Im psi over (R < 0, y)",
+             np.linspace(-8.0, -0.25, 32), np.linspace(0.0, 6.0, 31),
+             Method.APPROX_31, "wavefunction"),
+    "fig3": ("|psi(-10, y)|^2 against y",
+             [-10.0], np.linspace(0.0, 40.0, 1201), Method.APPROX_31,
+             "yscan"),
+    "fig4": ("|psi(R, 0)|^2 and |psi(R, 0.5)|^2 for R > 0",
+             np.linspace(0.25, 12.0, 236), [0.0, 0.5],
+             Method.REGIONAL_WITH_VERTICAL_LEG, "rscan"),
 }
 
 
 def cmd_figures(args) -> int:
     cfg = resolve_config(args)
-    rp = cfg.params
-    which = args.which
     bad = total = 0
-    # the free-region panels (fig1-fig3) are drawn from the segment
-    # approximation, the form the original figures were computed from;
-    # fig4 uses the exact regional field
-    for name in which:
-        if name in ("fig1", "fig2"):
-            grid = scan_grid(np.linspace(-8.0, -0.25, 32),
-                             np.linspace(0.0, 6.0, 31), rp, tol=cfg.tol,
-                             method=Method.APPROX_31)
-            rows = _grid_rows(grid)
-            bad += int((~grid.converged).sum())
-            total += grid.converged.size
-            write_table(_outfile(cfg, name), cfg.fmt, SCHEMAS["wavefunction"],
-                        rows, _metadata(cfg, name))
-        elif name == "fig3":
-            ys = np.linspace(0.0, 40.0, 1201)
-            grid = scan_grid([-10.0], ys, rp, tol=cfg.tol,
-                             method=Method.APPROX_31)
-            bad += int((~grid.converged).sum())
-            total += grid.converged.size
-            rows = [[float(y), abs(grid.samples[0, j]) ** 2]
-                    for j, y in enumerate(grid.y_values)]
-            write_table(_outfile(cfg, name), cfg.fmt, SCHEMAS["yscan"], rows,
-                        _metadata(cfg, name))
-        elif name == "fig4":
-            Rs = np.linspace(0.25, 12.0, 236)
-            grid = scan_grid(Rs, [0.0, 0.5], rp, tol=cfg.tol)
-            bad += int((~grid.converged).sum())
-            total += grid.converged.size
-            rows = [[float(R), abs(grid.samples[i, 0]) ** 2,
-                     abs(grid.samples[i, 1]) ** 2]
-                    for i, R in enumerate(grid.R_values)]
-            write_table(_outfile(cfg, name), cfg.fmt, SCHEMAS["rscan"], rows,
-                        _metadata(cfg, name))
-        else:
-            raise UsageError(f"unknown figure {name!r}")
-        print(f"{name}: {_FIG_DEFS[name]} -> "
-              f"{_outfile(cfg, name)}")
+    for name in args.which:
+        desc, R_vals, y_vals, method, schema = _FIGURES[name]
+        grid = scan_grid(R_vals, y_vals, cfg.params, tol=cfg.tol,
+                         method=method)
+        bad += int((~grid.converged).sum())
+        total += grid.converged.size
+        path = _outfile(cfg, name)
+        write_table(path, cfg.fmt, _grid_table(grid, schema),
+                    _metadata(cfg, name))
+        print(f"{name}: {desc} -> {path}")
     if total and bad / total > 0.01:
         print(f"warning: {bad}/{total} samples non-converged", file=sys.stderr)
         return 3
@@ -329,13 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("figures", help="emit the standard figure data sets")
     common(q)
-    q.add_argument("which", nargs="+", choices=sorted(_FIG_DEFS),
+    q.add_argument("which", nargs="+", choices=sorted(_FIGURES),
                    metavar="figN", help="fig1 fig2 fig3 fig4")
     q.set_defaults(fn=cmd_figures)
 
     q = sub.add_parser("asymptotics", help="far-field / steepest-descent scans")
     common(q)
-    q.add_argument("--law", required=True, choices=("far32", "sd35"))
+    q.add_argument("--law", required=True, choices=sorted(_LAWS))
     q.add_argument("--R", required=True)
     q.add_argument("--y", required=True)
     q.set_defaults(fn=cmd_asymptotics)

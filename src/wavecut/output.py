@@ -1,6 +1,14 @@
 """Structured file output: RFC-4180-style CSV and JSON with a metadata
-header.  Numbers are serialized with 17 significant digits so files
-round-trip doubles exactly and are byte-stable for a fixed configuration.
+header.
+
+A table is an ordered mapping from column name (one of the SCHEMAS) to a
+list of Python scalars.  CSV writes the columns in that order, a header
+row and then one row per index; JSON holds the lists as given under
+``columns`` (keys sorted, like every object in the file) and the names
+in order under ``metadata.column_names``.  CSV numbers carry 17
+significant digits and JSON numbers Python's shortest round-trip form,
+so both round-trip doubles exactly and files are byte-stable for a fixed
+configuration.
 """
 
 from __future__ import annotations
@@ -8,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 SCHEMAS = {
     "factor": ["re_k", "im_k", "re_splus", "im_splus", "method", "err_est"],
@@ -27,35 +35,19 @@ def fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: str | Path, names: Sequence[str],
-              rows: Sequence[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\r\n")
-        w.writerow(names)
-        for row in rows:
-            w.writerow([fmt(v) for v in row])
-
-
-def write_json(path: str | Path, names: Sequence[str],
-               rows: Sequence[Sequence], metadata: Mapping) -> None:
-    cols = {n: [] for n in names}
-    for row in rows:
-        for n, v in zip(names, row):
-            cols[n].append(float(v) if isinstance(v, float) else v)
-    doc = {
-        "metadata": dict(metadata, column_names=list(names)),
-        "columns": cols,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def write_table(path: str | Path, fmt_name: str, names: Sequence[str],
-                rows: Sequence[Sequence], metadata: Mapping) -> None:
+def write_table(path: str | Path, fmt_name: str, columns: Mapping[str, list],
+                metadata: Mapping) -> None:
     if fmt_name == "csv":
-        write_csv(path, names, rows)
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\r\n")
+            w.writerow(columns)
+            w.writerows([fmt(v) for v in row]
+                        for row in zip(*columns.values()))
     elif fmt_name == "json":
-        write_json(path, names, rows, metadata)
+        doc = {"metadata": dict(metadata, column_names=list(columns)),
+               "columns": columns}
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
     else:
         raise ValueError(f"unknown output format {fmt_name!r}")

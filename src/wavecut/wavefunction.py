@@ -26,9 +26,10 @@ and the two sides combine with that extra phase.
 
 Far-field closed forms: the smooth 1/R law (far_field) with entanglement
 phase e^{-i k0 |y|}, and the steepest-descent outgoing wave for R > 0
-(steepest_descent).  Note the exact field for R < 0 also contains a
-branch-point contribution decaying like |R|^(-1/2) which dominates the
-1/R component at any fixed |y|; see the saddle form psi_tail_saddle.
+(steepest_descent); both return the bare complex value, with no error
+bound.  Note the exact field for R < 0 also contains a branch-point
+contribution decaying like |R|^(-1/2) which dominates the 1/R component
+at any fixed |y|; see the saddle form psi_tail_saddle.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ class Method(Enum):
     REGIONAL = "regional"
     REGIONAL_WITH_VERTICAL_LEG = "regional_with_vertical_leg"
     UNIFIED_A7 = "unified_a7"
-    FAR_FIELD_32 = "far_field_32"
     APPROX_31 = "approx_31"
 
 
@@ -87,8 +87,8 @@ class WaveGrid:
     samples: np.ndarray          # complex, shape (len(R), len(y))
     method: Method
     tol: float
-    err: np.ndarray | None = None
-    converged: np.ndarray | None = None
+    err: np.ndarray
+    converged: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -405,11 +405,17 @@ def psi_unified(R: float, y: float, rp: ReducedParams, eps: float = 1e-3,
 
 def psi_unified_extrapolated(R: float, y: float, rp: ReducedParams,
                              tol: float = 1e-7) -> WaveSample:
-    """Quadratic Richardson extrapolation of psi_unified to eps -> 0 over
-    the three values of _EPS_LADDER.
+    """Extrapolation of psi_unified to eps -> 0 over the three values
+    e0 > e1 > e2 of _EPS_LADDER.
 
-    The eps bias is dominantly linear with a weak non-polynomial tail, so
-    closely spaced small eps values extrapolate better than a wide ladder.
+    The first Neville level takes the linear extrapolants of the pairs
+    (e0, e1) and (e1, e2); the second combines them over (e1, e2), where
+    a quadratic Richardson step would use (e0, e2).  The value is thus the
+    fixed combination (3/14) v0 - (123/98) v1 + (100/49) v2 of the ladder
+    samples: it cancels a bias linear in eps, but of a c eps^2 term it
+    keeps 8.6e-7 c, more than the 3e-7 c left by the linear extrapolant
+    of (e1, e2) alone.  err_est is the sum of the three samples' estimates
+    plus a tenth of the step from the smallest-eps sample to the value.
     """
     samples = [psi_unified(R, y, rp, eps=e, tol=tol) for e in _EPS_LADDER]
     es = np.array(_EPS_LADDER, dtype=float)
@@ -447,7 +453,7 @@ def asymptotic_phases(rp: ReducedParams, xi: float) -> AsymptoticPhases:
     return AsymptoticPhases(phi_minus=pm, phi_plus=pp, xi=xi)
 
 
-def far_field(R: float, y: float, rp: ReducedParams) -> WaveSample:
+def far_field(R: float, y: float, rp: ReducedParams) -> complex:
     """Smooth far-field law for R -> -inf, |y| << |R|:
 
         psi ~ a e^{-i (k0 |y| + phi_minus)} / (i pi K^2 R sqrt(2 k0 (K+k0)))
@@ -455,7 +461,7 @@ def far_field(R: float, y: float, rp: ReducedParams) -> WaveSample:
     The modulus is y-independent while the phase advances by k0 per unit
     |y| (the entanglement signature).  This is the k ~ 0 component of the
     segment integral; the exact field also carries a branch-point term
-    ~|R|^(-1/2) not described by this law.
+    ~|R|^(-1/2) not described by this law, so no error bound is returned.
     """
     if R >= 0.0:
         raise ValueError("far_field requires R < 0")
@@ -463,8 +469,7 @@ def far_field(R: float, y: float, rp: ReducedParams) -> WaveSample:
     a, k0, K = rp.a, rp.k0, rp.K
     pm = (2.0 / PI) * im_ti2(complex(k0, a) / K)
     amp = a / (1j * PI * K * K * R * math.sqrt(2.0 * k0 * (K + k0)))
-    psi = amp * cmath.exp(-1j * (k0 * abs(y) + pm))
-    return WaveSample(R, y, psi, 0.0, Method.FAR_FIELD_32)
+    return amp * cmath.exp(-1j * (k0 * abs(y) + pm))
 
 
 def steepest_descent(R: float, y: float, rp: ReducedParams) -> complex:
@@ -639,8 +644,6 @@ def scan_grid(R_values: Iterable[float], y_values: Iterable[float],
     fixed panel layout, block size and summation order.
 
     UNIFIED_A7 evaluates every sample with psi_unified_extrapolated.
-    FAR_FIELD_32 is rejected: the closed asymptotic laws are evaluated by
-    far_field and steepest_descent (wavecut asymptotics).
     """
     R_vals = np.asarray(sorted(set(float(r) for r in R_values)))
     y_vals = np.asarray(sorted(set(float(v) for v in y_values)))
@@ -649,9 +652,6 @@ def scan_grid(R_values: Iterable[float], y_values: Iterable[float],
     _check_inputs(R_vals, y_vals, tol)
     if np.any(R_vals == 0.0):
         raise ValueError("R = 0 is excluded (region boundary)")
-    if method is Method.FAR_FIELD_32:
-        raise ValueError("scan_grid has no far_field_32 route: the closed "
-                         "law is far_field")
     out = np.empty((len(R_vals), len(y_vals)), dtype=np.complex128)
     if method is Method.UNIFIED_A7:
         err = np.empty(out.shape)

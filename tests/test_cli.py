@@ -254,6 +254,43 @@ def test_figures_fig3_fig4(tmp_path):
     assert c0[first_max] > c5[first_max]
 
 
+@pytest.mark.parametrize("args, stems", [
+    (["wavefunction", "--R", "-3:-1:3", "--y", "-1:2:4"], ["wavefunction"]),
+    (["wavefunction", "--R", "0.5:4.5:5", "--y", "-1:2:4"], ["wavefunction"]),
+    (["factor", "--at-K", "--k-grid", "im:0.1:5:5"], ["factor"]),
+    (["figures", "fig3", "fig4"], ["fig3", "fig4"]),
+    (["asymptotics", "--law", "far32", "--R", "-200:-50:4", "--y", "0:1:2"],
+     ["asymptotics_far32"]),
+    (["asymptotics", "--law", "sd35", "--R", "25:100:4", "--y", "3:12:4"],
+     ["asymptotics_sd35"]),
+], ids=["wavefunction-R<0", "wavefunction-R>0", "factor", "figures",
+        "far32", "sd35"])
+def test_csv_and_json_carry_the_same_columns(tmp_path, args, stems):
+    for fmt in ("csv", "json"):
+        assert main([*args, "--format", fmt, "--out", str(tmp_path)]) == 0
+    for stem in stems:
+        names, rows = read_csv(tmp_path / f"{stem}.csv")
+        doc = json.loads((tmp_path / f"{stem}.json").read_text())
+        assert names == doc["metadata"]["column_names"]
+        assert sorted(names) == sorted(doc["columns"])
+        for n, col in zip(names, zip(*rows)):
+            want = doc["columns"][n]
+            assert len(col) == len(want)
+            for text, v in zip(col, want):
+                if isinstance(v, bool):
+                    assert text == ("true" if v else "false")
+                elif isinstance(v, float):
+                    assert float(text) == v
+                else:
+                    assert text == v
+        if "abs2" in names and "re_psi" in names:
+            # abs(p) ** 2 per value: a vectorized np.abs(p) ** 2 differs
+            # from it in the last bit on about a third of all values
+            c = doc["columns"]
+            for re_, im_, a2 in zip(c["re_psi"], c["im_psi"], c["abs2"]):
+                assert a2 == abs(complex(re_, im_)) ** 2
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"a": 2.0, "k0": 3.0}))

@@ -3,6 +3,7 @@ confluence values, product identity, plus-factor conversions, and the
 closed-form integral identities."""
 
 import cmath
+import logging
 import math
 
 import numpy as np
@@ -111,6 +112,19 @@ def test_j_real_axis_limit_near_minus_k0():
     # failure, not an O(1)-wrong value
     with pytest.raises(ArithmeticError):
         wh.j_direct(complex(-2.0 - 1e-6), RP, tol=1e-9)
+
+
+def test_j_direct_logs_accepted_nonconvergence(caplog):
+    # on real k at tight tol each step of the limit exhausts its split
+    # budget a little short of tol; the value is kept, and said so
+    caplog.set_level(logging.WARNING, logger="wavecut.wiener_hopf")
+    wh.j_direct(0.5, RP, tol=1e-11)
+    assert caplog.records
+    assert all(r.levelno == logging.WARNING and
+               "unconverged" in r.getMessage() for r in caplog.records)
+    caplog.clear()
+    wh.j_direct(0.5 + 0.5j, RP, tol=1e-11)
+    assert not caplog.records
 
 
 def test_j_rejects_lower_half_plane():
