@@ -4,7 +4,9 @@ One engine serves every integral in the package: finite intervals of
 smooth integrands (the contour pieces remove their endpoint roots by
 substitution before they get here), oscillatory integrands (initial panel
 width capped at a quarter of the hinted wavelength), and semi-infinite
-decaying rays (rational map s/(1-s) graded by the decay rate).
+decaying rays (rational map s/(1-s) graded by the decay rate).  Each
+spec lays out and maps its own panels (_panel_edges, _map_panels), for
+this engine and for the fixed shared panels of the grid scan alike.
 
 Each panel is evaluated with the 15-point Kronrod rule; the embedded
 7-point Gauss value provides the per-panel error estimate |K15 - G7|.
@@ -30,7 +32,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -83,10 +85,9 @@ class Kind(Enum):
 class QuadratureSpec:
     """What to integrate over and how hard to try.
 
-    For FINITE, ``endpoints`` is (a, b).  For DECAYING_RAY it is
-    (start, direction, rate): the path start + direction*u, u >= 0, with
-    integrand decay ~exp(-rate*u).  ``oscillation_hint`` is a wavelength
-    scale.
+    For FINITE, ``endpoints`` is (a, b), both finite.  For DECAYING_RAY
+    it is (start, rate): the path start + u, u >= 0, with integrand decay
+    ~exp(-rate*u), rate > 0.  ``oscillation_hint`` is a wavelength scale.
     """
     kind: Kind
     endpoints: tuple
@@ -99,6 +100,14 @@ class QuadratureSpec:
             raise ValueError("tol must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
+        if self.kind is Kind.FINITE:
+            a, b = self.endpoints
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError("FINITE endpoints must be finite")
+        else:
+            _, rate = self.endpoints
+            if not rate > 0.0:
+                raise ValueError("decay rate must be positive")
 
 
 @dataclass
@@ -109,66 +118,50 @@ class QuadResult:
     converged: bool
 
 
-@dataclass
-class _Piece:
-    """One smooth sub-problem: x = xmap(t), weight jac(t), t in [t0, t1]."""
-    t0: float
-    t1: float
-    xmap: Callable[[np.ndarray], np.ndarray]
-    jac: Callable[[np.ndarray], np.ndarray]
-    xspan: float
+# the ray's map s -> u stops short of s = 1, where u = s/(1-s) diverges
+_S_HI = 1.0 - 1e-6
 
 
-def _identity_piece(a: float, b: float) -> _Piece:
-    return _Piece(a, b, lambda t: t, lambda t: np.ones_like(t), abs(b - a))
+def _map_panels(spec: QuadratureSpec, los: np.ndarray, his: np.ndarray):
+    """K15 abscissae x of the panels [los, his] in the spec's own
+    variable s, the Jacobian dx/ds there (None on FINITE, where x = s)
+    and the panel half-widths.  The ray maps x = start + s/((1-s) rate)."""
+    h = 0.5 * (his - los)
+    s = ((0.5 * (los + his))[:, None] + h[:, None] * _NODES).ravel()
+    if spec.kind is Kind.FINITE:
+        return s, None, h
+    start, rate = spec.endpoints
+    return start + s / ((1.0 - s) * rate), 1.0 / (rate * (1.0 - s) ** 2), h
 
 
-def _ray_piece(start: float, direction: float, rate: float) -> _Piece:
-    """Map u = s/((1-s) rate), s in [0, 1); x = start + direction*u."""
-    if rate <= 0.0:
-        raise ValueError("decay rate must be positive")
-    s_hi = 1.0 - 1e-6
-
-    def xmap(s: np.ndarray) -> np.ndarray:
-        return start + direction * s / ((1.0 - s) * rate)
-
-    def jac(s: np.ndarray) -> np.ndarray:
-        return direction / (rate * (1.0 - s) ** 2)
-
-    # effective x-span for panel sizing: a few decay lengths
-    return _Piece(0.0, s_hi, xmap, jac, 30.0 / rate)
-
-
-def _build_piece(spec: QuadratureSpec) -> Optional[_Piece]:
-    """The one smooth piece of the spec, None for an empty interval."""
-    if spec.kind is Kind.DECAYING_RAY:
-        start, direction, rate = spec.endpoints
-        return _ray_piece(start, direction, rate)
-
-    a, b = spec.endpoints
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("FINITE endpoints must be finite")
-    if a == b:
-        return None
-    return _identity_piece(a, b)
-
-
-def _initial_panels(piece: _Piece, spec: QuadratureSpec) -> np.ndarray:
-    if spec.oscillation_hint is not None and spec.oscillation_hint > 0:
-        cap = spec.oscillation_hint / 4.0
-        n = int(min(16384, max(2, math.ceil(piece.xspan / cap))))
+def _panel_edges(spec: QuadratureSpec, n: Optional[int] = None):
+    """Edges of n equal panels in the spec's own variable, None for an
+    empty interval.  The default n keeps each panel within a quarter of
+    the oscillation hint over the x-span (30 decay lengths on the ray),
+    at most 16384 panels; without a hint it is 8."""
+    if spec.kind is Kind.FINITE:
+        s0, s1 = spec.endpoints
+        if s0 == s1:
+            return None
+        span = abs(s1 - s0)
     else:
-        n = 8
-    return np.linspace(piece.t0, piece.t1, n + 1)
+        s0, s1 = 0.0, _S_HI
+        span = 30.0 / spec.endpoints[1]
+    if n is None:
+        if spec.oscillation_hint is not None and spec.oscillation_hint > 0:
+            cap = spec.oscillation_hint / 4.0
+            n = int(min(16384, max(2, math.ceil(span / cap))))
+        else:
+            n = 8
+    return np.linspace(s0, s1, n + 1)
 
 
 class _Run:
     """Adaptive state of one spec: its heap of panels, counts, limits and
     the panel batch waiting for integrand values."""
 
-    def __init__(self, spec: QuadratureSpec, piece: _Piece):
+    def __init__(self, spec: QuadratureSpec):
         self.spec = spec
-        self.piece = piece
         self.heap: list = []
         self.counter = 0
         self.evals = 0
@@ -177,16 +170,15 @@ class _Run:
 
     def stage(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """Hold a panel batch; returns its K15 abscissae in x."""
-        h = 0.5 * (his - los)
-        ts = ((0.5 * (los + his))[:, None] + h[:, None] * _NODES).ravel()
-        self.batch = (los, his, h, self.piece.jac(ts))
-        return self.piece.xmap(ts)
+        x, jac, h = _map_panels(self.spec, los, his)
+        self.batch = (los, his, h, jac)
+        return x
 
     def push(self, fx: np.ndarray) -> None:
         """File the K15/G7 values of the held batch from its integrand
         values fx."""
-        los, his, h, ws = self.batch
-        fv = (fx * ws).reshape(len(los), 15)
+        los, his, h, jac = self.batch
+        fv = (fx if jac is None else fx * jac).reshape(len(los), 15)
         vals = (fv @ _W15) * h
         errs = np.abs(vals - (fv @ _W7) * h)
         self.evals += fv.size
@@ -271,12 +263,13 @@ def integrate(f, *specs: QuadratureSpec) -> QuadResult:
     """
     if not specs:
         raise TypeError("integrate needs at least one QuadratureSpec")
-    runs = [_Run(spec, _build_piece(spec)) for spec in specs]
-    live = [run for run in runs if run.piece is not None]  # empty: no panels
-    xs = []
-    for run in live:
-        edges = _initial_panels(run.piece, run.spec)
-        xs.append(run.stage(edges[:-1], edges[1:]))
+    runs = [_Run(spec) for spec in specs]
+    live, xs = [], []
+    for run in runs:
+        edges = _panel_edges(run.spec)
+        if edges is not None:  # an empty interval has no panels
+            live.append(run)
+            xs.append(run.stage(edges[:-1], edges[1:]))
     while live:
         fx = np.asarray(f(xs[0] if len(xs) == 1 else np.concatenate(xs)),
                         dtype=np.complex128)

@@ -132,7 +132,7 @@ def checks_quadrature() -> list[CheckResult]:
     out.append(CheckResult("quadrature", "int_0^1 1 dx = 1",
                            abs(r.value - 1.0), 1e-13))
     r = integrate(lambda t: np.exp(-t) + 0j,
-                  QuadratureSpec(Kind.DECAYING_RAY, (0.0, 1.0, 1.0),
+                  QuadratureSpec(Kind.DECAYING_RAY, (0.0, 1.0),
                                  tol=1e-12))
     out.append(CheckResult("quadrature", "decaying ray exp(-t) -> 1",
                            abs(r.value - 1.0), 1e-11))

@@ -45,7 +45,8 @@ import numpy as np
 
 from . import _backend
 from .model import ReducedParams
-from .quadrature import _NODES, _W7, _W15, Kind, QuadratureSpec, integrate
+from .quadrature import (_W7, _W15, Kind, QuadratureSpec, _map_panels,
+                         _panel_edges, integrate)
 from .specfun import dilog, im_ti2, ti2
 from .wiener_hopf import splus_at_K
 
@@ -119,11 +120,14 @@ def _pref(rp: ReducedParams) -> complex:
     return 2.0 * rp.a * rp.K * splus_at_K(rp) / (rp.K + rp.k0)
 
 
+def _phase_rate(rp: ReducedParams, R: float, y: float) -> float:
+    """Bound on |d phase/dt| of the segment phase -xR - |y| q in
+    t = sqrt(k0 - x)."""
+    return 2.0 * math.sqrt(rp.k0) * abs(R) + 2.0 * math.sqrt(2 * rp.k0) * abs(y)
+
+
 def _hint_t(rp: ReducedParams, R: float, y: float) -> float:
-    # phase -xR - |y| q in t = sqrt(k0 - x): |d phase/dt| <~ 2 sqrt(k0)|R|
-    # + 2 sqrt(2 k0)|y|
-    rate = 2.0 * math.sqrt(rp.k0) * abs(R) + 2.0 * math.sqrt(2 * rp.k0) * abs(y)
-    return 2.0 * PI / max(rate, 2.0)
+    return 2.0 * PI / max(_phase_rate(rp, R, y), 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +216,7 @@ def _piece_integral(piece, R: float, y: float, rp: ReducedParams, tol: float,
         return amp * np.exp(z * R) * _transverse(q, ay, jump, single)
 
     if piece in (_free_leg, _atom_leg):
-        spec = QuadratureSpec(Kind.DECAYING_RAY, (0.0, 1.0, abs(R)), tol=tol,
+        spec = QuadratureSpec(Kind.DECAYING_RAY, (0.0, abs(R)), tol=tol,
                               oscillation_hint=2.0 * PI / max(ay, 0.5))
     else:
         spec = QuadratureSpec(Kind.FINITE, (0.0, math.sqrt(rp.k0)), tol=tol,
@@ -529,13 +533,17 @@ def psi_tail_saddle(R: float, y: float, rp: ReducedParams) -> complex:
 _GRID_BLOCK = 8192
 
 
-def _fixed_nodes(t0: float, t1: float, n_panels: int):
-    edges = np.linspace(t0, t1, n_panels + 1)
-    c = 0.5 * (edges[:-1] + edges[1:])
-    h = 0.5 * (edges[1:] - edges[:-1])
-    ts = (c[:, None] + h[:, None] * _NODES[None, :])
-    # weights per panel, shape (n_panels, 15)
-    return ts.ravel(), h[:, None] * _W15[None, :], h[:, None] * _W7[None, :]
+def _fixed_nodes(piece, spec: QuadratureSpec, n_panels: int,
+                 rp: ReducedParams):
+    """A piece's (z, q, amp, jump) on n_panels equal panels of spec, amp
+    times the spec's Jacobian, then its K15 and G7 weights per panel,
+    each of shape (n_panels, 15)."""
+    edges = _panel_edges(spec, n_panels)
+    x, jac, h = _map_panels(spec, edges[:-1], edges[1:])
+    z, q, amp, jump = piece(x, rp)
+    if jac is not None:
+        amp = amp * jac
+    return z, q, amp, jump, h[:, None] * _W15, h[:, None] * _W7
 
 
 def _panel_sums(z, q, amp, jump, w15, w7, R_vals, ay, single=False):
@@ -591,11 +599,11 @@ def _scan_region(rp: ReducedParams, R_vals: np.ndarray, y_vals: np.ndarray,
 
     if k0 > 0.0:
         # quarter-wavelength initial panels for the worst sample of the grid
-        rate = 2.0 * math.sqrt(k0) * Rmax + 2.0 * math.sqrt(2 * k0) * ymax
         n_panels = int(min(6000, max(24, math.ceil(
-            math.sqrt(k0) * rate * 2.0 / PI))))
-        ts, w15, w7 = _fixed_nodes(0.0, math.sqrt(k0), n_panels)
-        m, em = _panel_sums(*segment(ts, rp), w15, w7, R_vals, ay, single)
+            math.sqrt(k0) * _phase_rate(rp, Rmax, ymax) * 2.0 / PI))))
+        spec = QuadratureSpec(Kind.FINITE, (0.0, math.sqrt(k0)))
+        m, em = _panel_sums(*_fixed_nodes(segment, spec, n_panels, rp),
+                            R_vals, ay, single)
     else:
         # at k0 = 0 the segment has zero width and its nodes would sit on
         # the merged branch points, where the amplitudes are 0/0.  The
@@ -608,15 +616,12 @@ def _scan_region(rp: ReducedParams, R_vals: np.ndarray, y_vals: np.ndarray,
     sc = abs(pref) / (2 * PI)
     err = sc * em
     if not single:
-        # leg nodes on the unit-rate rational map u = s/(1-s); the
-        # per-R factor e^{zR} supplies the decay
+        # leg nodes on the unit-rate ray; the per-R factor e^{zR}
+        # supplies the decay
         phase_ray = ymax * min(30.0 / max(Rmin, 1e-3), 1e4)
         n_ray = int(min(3000, max(24, math.ceil(phase_ray * 2.0 / PI))))
-        ss, v15, v7 = _fixed_nodes(0.0, 1.0 - 1e-6, n_ray)
-        z_leg, vv, amp_leg, jump_leg = leg(ss / (1.0 - ss), rp)
-        amp_leg = amp_leg * (1.0 / (1.0 - ss) ** 2)
-        lv, el = _panel_sums(z_leg, vv, amp_leg, jump_leg, v15, v7,
-                             R_vals, ay)
+        spec = QuadratureSpec(Kind.DECAYING_RAY, (0.0, 1.0))
+        lv, el = _panel_sums(*_fixed_nodes(leg, spec, n_ray, rp), R_vals, ay)
         out += -1j * pref / (2 * PI) * lv
         err += sc * el
     if not neg:

@@ -209,7 +209,7 @@ def j_axis(k: complex, rp: ReducedParams, tol: float = 1e-10):
                        oscillation_hint=4.0 * q),
         QuadratureSpec(Kind.FINITE, (0.0, V), tol=tol / 3,
                        oscillation_hint=V / 2),
-        QuadratureSpec(Kind.DECAYING_RAY, (V, 1.0, 0.5 / V), tol=tol / 3))
+        QuadratureSpec(Kind.DECAYING_RAY, (V, 0.5 / V), tol=tol / 3))
     return (k / (PI * 1j) * res.value, abs(k) * res.err_est / PI,
             res.evaluations, res.converged)
 

@@ -19,7 +19,7 @@ def test_constant_exact():
 
 def test_decaying_ray():
     res = integrate(lambda t: np.exp(-t) + 0j,
-                    QuadratureSpec(Kind.DECAYING_RAY, (0.0, 1.0, 1.0),
+                    QuadratureSpec(Kind.DECAYING_RAY, (0.0, 1.0),
                                    tol=1e-12))
     assert abs(res.value - 1.0) < 1e-12
     assert res.err_est >= abs(res.value - 1.0)
@@ -28,7 +28,7 @@ def test_decaying_ray():
 def test_ray_with_start_and_direction():
     # int_2^inf e^{-3(t-2)} dt = 1/3
     res = integrate(lambda t: np.exp(-3.0 * (t - 2.0)) + 0j,
-                    QuadratureSpec(Kind.DECAYING_RAY, (2.0, 1.0, 3.0),
+                    QuadratureSpec(Kind.DECAYING_RAY, (2.0, 3.0),
                                    tol=1e-12))
     assert abs(res.value - 1.0 / 3.0) < 1e-12
 
@@ -121,6 +121,15 @@ def test_spec_validation():
         QuadratureSpec(Kind.FINITE, (0.0, 1.0), tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(Kind.FINITE, (0.0, 1.0), max_subdivisions=0)
+
+
+def test_endpoint_checks_at_construction():
+    # a spec with ends the engine cannot lay panels on fails when built
+    with pytest.raises(ValueError, match="FINITE endpoints must be finite"):
+        QuadratureSpec(Kind.FINITE, (0.0, math.inf))
+    for rate in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="decay rate must be positive"):
+            QuadratureSpec(Kind.DECAYING_RAY, (0.0, rate))
 
 
 def test_evaluation_count_reported():
@@ -226,7 +235,7 @@ def test_multi_piece_empty_and_ray_pieces():
     f = lambda x: np.exp(-x) + 0j  # noqa: E731
     specs = (QuadratureSpec(Kind.FINITE, (0.0, 1.0), tol=1e-12),
              QuadratureSpec(Kind.FINITE, (1.0, 1.0)),
-             QuadratureSpec(Kind.DECAYING_RAY, (1.0, 1.0, 1.0), tol=1e-12))
+             QuadratureSpec(Kind.DECAYING_RAY, (1.0, 1.0), tol=1e-12))
     res = integrate(f, *specs)
     assert abs(res.value - 1.0) < 1e-12
     assert res.converged
