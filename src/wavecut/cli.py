@@ -56,7 +56,6 @@ class RunConfig:
     tol: float
     fmt: str
     out: Path
-    method: Method = Method.REGIONAL_WITH_VERTICAL_LEG
 
 
 def parse_grid(text: str) -> np.ndarray:
@@ -106,17 +105,18 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     else:
         rp = ReducedParams.from_a_k0(float(cfg["a"]), float(cfg["k0"]))
     out = Path(getattr(args, "out", None) or ".")
-    method = _METHODS[getattr(args, "method", None) or "regional"]
     return RunConfig(params=rp, tol=float(cfg["tol"]), fmt=str(cfg["format"]),
-                     out=out, method=method)
+                     out=out)
 
 
-def _metadata(cfg: RunConfig, command: str) -> dict:
+def _metadata(cfg: RunConfig, command: str, method: str) -> dict:
+    """The JSON metadata of one output file; method names the route or
+    law its values come from."""
     return {
         "artifact_version": __version__,
         "command": command,
         "a": cfg.params.a, "k0": cfg.params.k0, "K": cfg.params.K,
-        "tol": cfg.tol, "method": cfg.method.value,
+        "tol": cfg.tol, "method": method,
     }
 
 
@@ -157,7 +157,8 @@ def cmd_factor(args) -> int:
         [v.real for v in vals], [v.imag for v in vals],
         ["closed_form"] * len(ks), errs]))
     path = _outfile(cfg, "factor")
-    write_table(path, cfg.fmt, table, _metadata(cfg, "factor"))
+    write_table(path, cfg.fmt, table,
+                _metadata(cfg, "factor", "closed_form"))
     print(f"wrote {path}")
     return 0
 
@@ -198,11 +199,11 @@ def cmd_wavefunction(args) -> int:
     y_vals = parse_grid(args.y)
     if np.any(R_vals == 0.0):
         raise UsageError("R grid must exclude the region boundary R = 0")
-    grid = scan_grid(R_vals, y_vals, cfg.params, tol=cfg.tol,
-                     method=cfg.method)
+    method = _METHODS[args.method or "regional"]
+    grid = scan_grid(R_vals, y_vals, cfg.params, tol=cfg.tol, method=method)
     path = _outfile(cfg, "wavefunction")
     write_table(path, cfg.fmt, _grid_table(grid, "wavefunction"),
-                _metadata(cfg, "wavefunction"))
+                _metadata(cfg, "wavefunction", method.value))
     n_bad = int((~grid.converged).sum())
     frac = n_bad / grid.converged.size
     print(f"wrote {path} ({grid.converged.size} samples, "
@@ -227,7 +228,8 @@ def cmd_asymptotics(args) -> int:
     table = dict(zip(SCHEMAS["asymptotics"],
                      [Rs, ys, *_psi_columns(psi), [law] * len(psi)]))
     path = _outfile(cfg, f"asymptotics_{law}")
-    write_table(path, cfg.fmt, table, _metadata(cfg, f"asymptotics {law}"))
+    write_table(path, cfg.fmt, table,
+                _metadata(cfg, f"asymptotics {law}", law))
     print(f"wrote {path}")
     return 0
 
@@ -263,7 +265,7 @@ def cmd_figures(args) -> int:
         total += grid.converged.size
         path = _outfile(cfg, name)
         write_table(path, cfg.fmt, _grid_table(grid, schema),
-                    _metadata(cfg, name))
+                    _metadata(cfg, name, method.value))
         print(f"{name}: {desc} -> {path}")
     if total and bad / total > 0.01:
         print(f"warning: {bad}/{total} samples non-converged", file=sys.stderr)
@@ -273,8 +275,7 @@ def cmd_figures(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        results = run_all(only=args.only, fast=args.fast,
-                          flip_branch=args.flip_branch)
+        results = run_all(only=args.only, flip_branch=args.flip_branch)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     for r in results:
@@ -338,10 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_asymptotics)
 
     q = sub.add_parser("validate", help="run the cross-validation suite")
-    common(q)
     q.add_argument("--only", help="restrict to one module")
-    q.add_argument("--fast", action="store_true",
-                   help="reduced point counts")
     q.add_argument("--flip-branch", action="store_true",
                    help="negative control: wrong cut side must FAIL")
     q.set_defaults(fn=cmd_validate)

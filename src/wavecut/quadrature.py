@@ -4,7 +4,8 @@ One engine serves every integral in the package: finite intervals of
 smooth integrands (the contour pieces remove their endpoint roots by
 substitution before they get here), oscillatory integrands (initial panel
 width capped at a quarter of the hinted wavelength), and semi-infinite
-decaying rays (rational map s/(1-s) graded by the decay rate).  Each
+decaying rays given as (start, rate) (rational map s/(1-s) graded by
+the decay rate).  Each
 spec lays out and maps its own panels (_panel_edges, _map_panels), for
 this engine and for the fixed shared panels of the grid scan alike.
 

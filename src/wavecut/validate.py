@@ -139,14 +139,14 @@ def checks_quadrature() -> list[CheckResult]:
     return out
 
 
-def checks_wiener_hopf(fast: bool = False) -> list[CheckResult]:
+def checks_wiener_hopf() -> list[CheckResult]:
     rng = _rng()
     out = []
     rp = ReducedParams.from_a_k0(1.0, 2.0)
     # closed form vs direct J on the standard grid
     worst = 0.0
-    xs = (0.0, 1.0, 3.0) if fast else (-3.0, -1.0, 0.0, 1.0, 3.0)
-    ys = (0.1, 1.0) if fast else (0.1, 0.5, 1.0, 2.0, 5.0)
+    xs = (-3.0, -1.0, 0.0, 1.0, 3.0)
+    ys = (0.1, 0.5, 1.0, 2.0, 5.0)
     for x in xs:
         for y in ys:
             k = complex(x, y)
@@ -160,7 +160,7 @@ def checks_wiener_hopf(fast: bool = False) -> list[CheckResult]:
         0.0 if all(abs(wh.splus(complex(x, y), rp)) > 1e-3
                    for x in xs for y in ys) else 1.0, 0.5))
     # product identity over random parameters
-    n = 5 if fast else 20
+    n = 20
     worst = 0.0
     for _ in range(n):
         rpp = ReducedParams.from_a_k0(rng.uniform(0.1, 5.0),
@@ -173,8 +173,7 @@ def checks_wiener_hopf(fast: bool = False) -> list[CheckResult]:
                            wh.j_second_integral_check(2j, rp), 1e-9))
     # closed integral identity vs brute quadrature
     worst = 0.0
-    cs = (1.1, 2.0) if fast else (1.1, 1.5, 2.0, 3.0)
-    for c in cs:
+    for c in (1.1, 1.5, 2.0, 3.0):
         for f in (0.0, 0.5, 0.9):
             al = f * c
             cf = wh.appendix_b_closed(c, al)
@@ -189,14 +188,11 @@ def checks_wiener_hopf(fast: bool = False) -> list[CheckResult]:
     return out
 
 
-def checks_wavefunction(fast: bool = False,
-                        flip_branch: bool = False) -> list[CheckResult]:
+def checks_wavefunction(flip_branch: bool = False) -> list[CheckResult]:
     out = []
     rp = ReducedParams.from_a_k0(1.0, 2.0)
-    pts = [(-5.0, 0.0), (3.0, 1.0)] if fast else [(-5.0, 0.0), (-5.0, 2.0),
-                                                  (3.0, 1.0)]
     worst = 0.0
-    for (R, y) in pts:
+    for (R, y) in [(-5.0, 0.0), (-5.0, 2.0), (3.0, 1.0)]:
         uni = psi_unified_extrapolated(R, y, rp, tol=1e-7)
         if R < 0:
             reg = psi_free(R, y, rp, tol=1e-9)
@@ -229,14 +225,14 @@ def checks_wavefunction(fast: bool = False,
     return out
 
 
-def run_all(only: str | None = None, fast: bool = False,
+def run_all(only: str | None = None,
             flip_branch: bool = False) -> list[CheckResult]:
     groups = {
-        "specfun": lambda: checks_specfun(),
-        "model": lambda: checks_model(),
-        "quadrature": lambda: checks_quadrature(),
-        "wiener_hopf": lambda: checks_wiener_hopf(fast),
-        "wavefunction": lambda: checks_wavefunction(fast, flip_branch),
+        "specfun": checks_specfun,
+        "model": checks_model,
+        "quadrature": checks_quadrature,
+        "wiener_hopf": checks_wiener_hopf,
+        "wavefunction": lambda: checks_wavefunction(flip_branch),
     }
     if only is not None:
         if only not in groups:

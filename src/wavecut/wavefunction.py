@@ -82,12 +82,10 @@ class WaveSample:
 
 @dataclass(frozen=True)
 class WaveGrid:
-    params: ReducedParams
     R_values: np.ndarray
     y_values: np.ndarray
     samples: np.ndarray          # complex, shape (len(R), len(y))
     method: Method
-    tol: float
     err: np.ndarray
     converged: np.ndarray
 
@@ -229,8 +227,8 @@ def _contour(R: float, y: float, rp: ReducedParams, tol: float,
     """pref/(2 pi) (segment - i leg) by adaptive quadrature of each piece.
 
     REGIONAL_WITH_VERTICAL_LEG adds the leg; REGIONAL reports its
-    magnitude inside err_est instead; APPROX_31 is the one-sided segment
-    alone."""
+    magnitude inside err_est instead, and converged then also requires
+    err_est <= tol; APPROX_31 is the one-sided segment alone."""
     _check_inputs(R, y, tol)
     segment, leg = ((_free_segment, _free_leg) if R < 0
                     else (_atom_segment, _atom_leg))
@@ -249,6 +247,7 @@ def _contour(R: float, y: float, rp: ReducedParams, tol: float,
         # neglected evanescent piece, reported but not added
         res = _piece_integral(leg, R, y, rp, max(100 * tol, 1e-6) / scale)
         err += scale * abs(res.value)
+        ok = ok and err <= tol
     return WaveSample(R, y, psi, err, method, ok)
 
 
@@ -260,7 +259,8 @@ def psi_free(R: float, y: float, rp: ReducedParams, tol: float = 1e-8,
     both cut sides (cosine form) plus, optionally, the leg along the
     positive imaginary axis whose contribution decays like e^{-t|R|}.
     With include_vertical_leg=False the leg magnitude (the evanescent
-    correction) is estimated and reported inside err_est.
+    correction) is estimated and reported inside err_est, and the sample
+    counts as converged only if that err_est is within tol.
     """
     if R >= 0.0:
         raise ValueError("psi_free requires R < 0")
@@ -665,7 +665,7 @@ def scan_grid(R_values: Iterable[float], y_values: Iterable[float],
             for j, y in enumerate(y_vals):
                 s = psi_unified_extrapolated(float(R), float(y), rp, tol=tol)
                 out[i, j], err[i, j], conv[i, j] = s.psi, s.err_est, s.converged
-        return WaveGrid(rp, R_vals, y_vals, out, method, tol, err, conv)
+        return WaveGrid(R_vals, y_vals, out, method, err, conv)
 
     err = np.full(out.shape, np.inf)  # rows left at inf go pointwise
     regions = [R_vals > 0]
@@ -694,7 +694,7 @@ def scan_grid(R_values: Iterable[float], y_values: Iterable[float],
         out[i, j] = s.psi
         err[i, j] = s.err_est
         conv[i, j] = s.converged and s.err_est <= tol
-    return WaveGrid(rp, R_vals, y_vals, out, method, tol, err, conv)
+    return WaveGrid(R_vals, y_vals, out, method, err, conv)
 
 
 # ----------------------------------------------------------------------

@@ -185,11 +185,12 @@ def j_axis(k: complex, rp: ReducedParams, tol: float = 1e-10):
     branch point (Davis & Rabinowitz, Methods of Numerical Integration,
     1984, section 2.9).  Its pieces (-k0^(1/4), 0), (0, V) and the ray from
     V = (11 k0 + 4|k|)^(1/4), where u = 12 k0 + 4|k|, go to one integrate
-    call, each with tol/3 on the integral itself.  The returned err_est is
-    |k|/pi times that integral's estimate, so converged does not mean
-    err_est <= tol: at |k| > pi it allows an error up to |k|/pi tol in J,
-    and at small |k| it can fail while the error in J is far below tol.
+    call.  The returned err_est is |k|/pi times that integral's estimate,
+    and each piece gets tol pi/(3|k|), so converged means err_est <= tol
+    on J itself.  Raises ValueError unless Im k > 0.
     """
+    if not k.imag > 0.0:
+        raise ValueError("j_axis requires Im k > 0")
     a, k0 = rp.a, rp.k0
     k2 = k * k
 
@@ -203,13 +204,14 @@ def j_axis(k: complex, rp: ReducedParams, tol: float = 1e-10):
 
     q = k0 ** 0.25
     V = (11.0 * k0 + 4.0 * abs(k)) ** 0.25
+    ptol = tol * PI / (3.0 * abs(k))
     res = integrate(
         f,
-        QuadratureSpec(Kind.FINITE, (-q, 0.0), tol=tol / 3,
+        QuadratureSpec(Kind.FINITE, (-q, 0.0), tol=ptol,
                        oscillation_hint=4.0 * q),
-        QuadratureSpec(Kind.FINITE, (0.0, V), tol=tol / 3,
+        QuadratureSpec(Kind.FINITE, (0.0, V), tol=ptol,
                        oscillation_hint=V / 2),
-        QuadratureSpec(Kind.DECAYING_RAY, (V, 0.5 / V), tol=tol / 3))
+        QuadratureSpec(Kind.DECAYING_RAY, (V, 0.5 / V), tol=ptol))
     return (k / (PI * 1j) * res.value, abs(k) * res.err_est / PI,
             res.evaluations, res.converged)
 
@@ -220,7 +222,8 @@ def j_direct(k: complex, rp: ReducedParams, tol: float = 1e-9) -> complex:
 
     Real k is the limit from above, from steps delta and 2 delta and one
     Richardson step; J ~ -Log(k + k0)/2 near -k0, so delta shrinks with
-    |k + k0|.  Raises ValueError for Im k < 0 and at k = -k0, and
+    |k + k0|.  tol bounds the error estimate of J itself in each j_axis
+    call.  Raises ValueError for Im k < 0 and at k = -k0, and
     ArithmeticError when the quadrature fails with err_est above 100 tol,
     e.g. on real k so close to -k0 that the pole u = -k pinches the branch
     point u = k0.  A quadrature that stops short of tol but within that

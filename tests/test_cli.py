@@ -312,7 +312,7 @@ def test_physical_params_input(tmp_path):
 
 
 def test_validate_fast(capsys):
-    rc = main(["validate", "--fast", "--only", "quadrature"])
+    rc = main(["validate", "--only", "quadrature"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS" in out and "FAIL" not in out
@@ -320,11 +320,33 @@ def test_validate_fast(capsys):
 
 def test_validate_negative_control(capsys):
     # flipping the branch side must be detected by route equivalence
-    rc = main(["validate", "--fast", "--only", "wavefunction",
-               "--flip-branch"])
+    rc = main(["validate", "--only", "wavefunction", "--flip-branch"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out
+
+
+def test_validate_takes_no_common_options():
+    # validate reads no parameter, tolerance or output option
+    try:
+        rc = main(["validate", "--a", "2"])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+
+
+def test_json_metadata_names_the_method_used(tmp_path):
+    # fig1-fig3 come from the one-sided segment, fig4 from the full wrap
+    for args in (["figures", "fig1", "fig3", "fig4"], ["factor", "--at-K"],
+                 ["asymptotics", "--law", "far32", "--R", "-200:-50:2",
+                  "--y", "0:1:2"]):
+        assert main([*args, "--format", "json", "--out", str(tmp_path)]) == 0
+    want = {"fig1": "approx_31", "fig3": "approx_31",
+            "fig4": "regional_with_vertical_leg", "factor": "closed_form",
+            "asymptotics_far32": "far32"}
+    for stem, method in want.items():
+        doc = json.loads((tmp_path / f"{stem}.json").read_text())
+        assert doc["metadata"]["method"] == method, stem
 
 
 def test_entry_point_installed():

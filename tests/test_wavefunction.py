@@ -66,6 +66,15 @@ def test_vertical_leg_decay_validates_neglect():
     assert rel[0] > rel[1] > rel[2]
 
 
+@pytest.mark.parametrize("tol, converged", [(1e-6, False), (1e-1, True)])
+def test_regional_converged_agrees_with_grid(tol, converged):
+    # the neglected leg (err_est 2.2e-2 here) counts against tol on the
+    # adaptive route as on the grid
+    s = psi_free(-3.0, 0.0, RP, tol=tol, include_vertical_leg=False)
+    g = scan_grid([-3.0], [0.0], RP, tol=tol, method=Method.REGIONAL)
+    assert s.converged == bool(g.converged[0, 0]) == converged
+
+
 def test_methods_recorded():
     assert psi_free(-2.0, 0.5, RP).method is Method.REGIONAL_WITH_VERTICAL_LEG
     assert psi_free(-2.0, 0.5, RP, include_vertical_leg=False).method \
@@ -189,6 +198,17 @@ def test_unified_route_property(aR, sign, y):
     for route in routes:
         up, down = route(y), route(-y)
         assert getattr(up, "psi", up) == getattr(down, "psi", down)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(log_a=st.floats(math.log(1e-3), math.log(5.0)),
+       log_k0=st.floats(math.log(1e-3), math.log(5.0)),
+       aR=st.floats(0.5, 10.0), y=st.floats(0.0, 3.0))
+def test_regional_routes_even_in_y(log_a, log_k0, aR, y):
+    # bit for bit: every piece sees y through |y| only, at any (a, k0)
+    rp = ReducedParams.from_a_k0(math.exp(log_a), math.exp(log_k0))
+    for route, R in ((psi_free, -aR), (psi_approx31, -aR), (psi_atom, aR)):
+        assert route(R, y, rp).psi == route(R, -y, rp).psi
 
 
 def test_unified_eps_guard():

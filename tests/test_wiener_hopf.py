@@ -118,7 +118,7 @@ def test_j_direct_logs_accepted_nonconvergence(caplog):
     # on real k at tight tol each step of the limit exhausts its split
     # budget a little short of tol; the value is kept, and said so
     caplog.set_level(logging.WARNING, logger="wavecut.wiener_hopf")
-    wh.j_direct(0.5, RP, tol=1e-11)
+    wh.j_direct(0.5, RP, tol=1e-12)
     assert caplog.records
     assert all(r.levelno == logging.WARNING and
                "unconverged" in r.getMessage() for r in caplog.records)
@@ -130,6 +130,14 @@ def test_j_direct_logs_accepted_nonconvergence(caplog):
 def test_j_rejects_lower_half_plane():
     with pytest.raises(ValueError):
         wh.j_direct(1 - 1j, RP)
+
+
+def test_j_axis_requires_upper_half_plane():
+    # its piece tolerances scale with 1/|k|, and real k puts the pole
+    # u = k on the path
+    for k in (0j, 1.0, 1.0 - 1.0j):
+        with pytest.raises(ValueError):
+            wh.j_axis(k, RP)
 
 
 def test_splus_oracle_random_params():
