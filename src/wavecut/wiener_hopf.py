@@ -17,7 +17,8 @@ Cauchy-integral representation
 evaluated by brute-force quadrature (j_direct) along the real u axis.
 One substitution u = k0 -+ v^4 maps the branch point u = k0 to v = 0,
 where the density vanishes like v^3 ln|v|, so every k is one integrate
-call on one smooth density (j_axis).
+call on one smooth density (j_axis), plus one call near u = 0 when |k|
+is small against k0.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import _backend
 from .model import ReducedParams
-from .quadrature import Kind, QuadratureSpec, integrate
+from .quadrature import Kind, QuadResult, QuadratureSpec, integrate
 from .specfun import dilog, ti2
 
 PI = math.pi
@@ -185,9 +186,13 @@ def j_axis(k: complex, rp: ReducedParams, tol: float = 1e-10):
     branch point (Davis & Rabinowitz, Methods of Numerical Integration,
     1984, section 2.9).  Its pieces (-k0^(1/4), 0), (0, V) and the ray from
     V = (11 k0 + 4|k|)^(1/4), where u = 12 k0 + 4|k|, go to one integrate
-    call.  The returned err_est is |k|/pi times that integral's estimate,
-    and each piece gets tol pi/(3|k|), so converged means err_est <= tol
-    on J itself.  Raises ValueError unless Im k > 0.
+    call.  When 100|k| <= k0 the poles u = +-k make a spike of width |k|
+    at u = 0; the gap piece then starts at u = k0/2, and u in (0, k0/2)
+    goes to a second call in s, u = |k| expm1(s), on pieces with edges
+    at u = |k| and 10|k|.  The returned err_est is |k|/pi times the
+    summed estimate, and each of the n pieces (3, or 6 with the spike)
+    gets tol pi/(n|k|), so converged means err_est <= tol on J itself.
+    Raises ValueError unless Im k > 0.
     """
     if not k.imag > 0.0:
         raise ValueError("j_axis requires Im k > 0")
@@ -202,18 +207,36 @@ def j_axis(k: complex, rp: ReducedParams, tol: float = 1e-10):
         w = v2 * np.sqrt(u + k0)  # |u^2 - k0^2|^(1/2)
         return 4.0 * av3 * np.log(1.0 + c / w) / (u * u - k2)
 
+    ak = abs(k)
     q = k0 ** 0.25
-    V = (11.0 * k0 + 4.0 * abs(k)) ** 0.25
-    ptol = tol * PI / (3.0 * abs(k))
+    V = (11.0 * k0 + 4.0 * ak) ** 0.25
+    near = 100.0 * ak <= k0
+    ptol = tol * PI / ((6.0 if near else 3.0) * ak)
+    v0, spike = -q, QuadResult(0j, 0.0, 0, True)
+    if near:
+        # v near -q resolves u only to ulp(k0), far coarser than the
+        # spike; s resolves u -> 0 and turns its 1/u^2 tail into e^-s
+        def g(s: np.ndarray) -> np.ndarray:
+            u = ak * np.expm1(s)
+            w = np.sqrt((k0 - u) * (k0 + u))
+            return (ak + u) * np.log(1.0 + 1j * a / w) / ((u - k) * (u + k))
+
+        edges = (0.0, math.log(2.0), math.log(11.0),
+                 math.log1p(0.5 * k0 / ak))
+        spike = integrate(g, *(QuadratureSpec(Kind.FINITE, ends, tol=ptol)
+                               for ends in zip(edges[:-1], edges[1:])))
+        v0 = -(0.5 * k0) ** 0.25
     res = integrate(
         f,
-        QuadratureSpec(Kind.FINITE, (-q, 0.0), tol=ptol,
+        QuadratureSpec(Kind.FINITE, (v0, 0.0), tol=ptol,
                        oscillation_hint=4.0 * q),
         QuadratureSpec(Kind.FINITE, (0.0, V), tol=ptol,
                        oscillation_hint=V / 2),
         QuadratureSpec(Kind.DECAYING_RAY, (V, 0.5 / V), tol=ptol))
-    return (k / (PI * 1j) * res.value, abs(k) * res.err_est / PI,
-            res.evaluations, res.converged)
+    return (k / (PI * 1j) * (res.value + spike.value),
+            ak * (res.err_est + spike.err_est) / PI,
+            res.evaluations + spike.evaluations,
+            res.converged and spike.converged)
 
 
 def j_direct(k: complex, rp: ReducedParams, tol: float = 1e-9) -> complex:

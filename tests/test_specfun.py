@@ -3,11 +3,14 @@ defining power series, and brute-force path quadrature."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wavecut import specfun
+from wavecut import _purepy, specfun
 from wavecut.specfun import (CATALAN, ZETA2, CutSideError, dilog, im_ti2,
                              ti2)
 
@@ -70,6 +73,75 @@ def test_dilog_relative_accuracy_near_zero():
         ref = np.array([complex(mp.polylog(2, mp.mpc(c.real, c.imag)))
                         for c in z])
     assert np.max(np.abs(out - ref) / np.abs(ref)) < 2e-15
+
+
+def _li2_reference(z: complex) -> complex:
+    # mpmath at 30 digits; real z > 1 as the limit from below the cut
+    if z.imag == 0.0 and z.real > 1.0:
+        z = complex(z.real, -1e-40 * z.real)
+    with mp.workdps(30):
+        return complex(mp.polylog(2, mp.mpc(z.real, z.imag)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(log_mod=st.floats(-300.0, 300.0),
+       arg=st.one_of(st.floats(-math.pi, math.pi),
+                     st.sampled_from([0.0, math.pi / 2, math.pi,
+                                      -math.pi / 2, -math.pi])))
+def test_dilog_property_against_mpmath(log_mod, arg):
+    # |z| log-uniform over the whole double range, any argument; the
+    # sampled angles put z on the axes and on the cut [1, inf)
+    z = 10.0 ** log_mod * complex(math.cos(arg), math.sin(arg))
+    if arg in (0.0, math.pi, -math.pi):
+        z = complex(z.real, 0.0)
+    elif abs(arg) == math.pi / 2:
+        z = complex(0.0, z.imag)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = dilog(z)
+    ref = _li2_reference(z)
+    assert abs(val - ref) <= 5e-14 * max(1.0, abs(ref))
+    if abs(z) <= 1e-3:
+        assert abs(val - ref) <= 1e-15 * abs(ref)
+
+
+def test_dilog_large_modulus_without_overflow():
+    # the dispatch masks square |z|: they must not overflow up to 1e300
+    z = np.array([1e200 + 1e200j, 1e300 + 1e300j, -1e300, 1e300,
+                  1e300j, -1e300j, 1e300 - 1e-300j, -1e300 + 1e300j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = dilog(z)
+        t = ti2(np.array([1e200 + 1j, 1e300 + 1e300j]))
+    for v, c in zip(out, z):
+        ref = _li2_reference(complex(c))
+        assert abs(v - ref) <= 1e-15 * abs(ref)
+    assert np.all(np.isfinite(t))
+
+
+def test_log_helpers_match_numpy_log():
+    # on-cut signed zeros pick the side, as np.log does
+    x = np.array([0.25, 0.5, 1.0, 3.0, 1e5])
+    for zero in (0.0, -0.0):
+        y = np.full_like(x, zero)
+        lg = _purepy._log(-x, y)
+        ref = np.log(np.array([complex(-c, zero) for c in x]))
+        assert np.array_equal(lg.imag, ref.imag)
+        assert np.allclose(lg.real, ref.real, rtol=0.0, atol=1e-15)
+        # ln(1 - v) at v = -x -+ 0j, |v| <= 1: 1 - v = 1 + x +- 0j
+        xs, ys = x[x <= 1.0], y[x <= 1.0]
+        lm = _purepy._log1m(-xs, -ys)
+        ref = np.log(np.array([complex(1.0 + c, zero) for c in xs]))
+        assert np.array_equal(np.signbit(lm.imag), np.signbit(ref.imag))
+        assert np.allclose(lm, ref, rtol=0.0, atol=1e-15)
+    # the rings |z| = 1 and |1 - z| = 1 bound the three maps
+    ring = np.exp(1j * (np.arange(64) + 0.5) * (2 * np.pi / 64))
+    for z in (ring, 1.0 - ring):
+        assert np.allclose(_purepy._log(z.real, z.imag), np.log(z),
+                           rtol=0.0, atol=1e-15)
+        inner = z[z.real < 0.5]
+        assert np.allclose(_purepy._log1m(inner.real, inner.imag),
+                           np.log(1.0 - inner), rtol=0.0, atol=1e-15)
 
 
 def test_dilog_matches_series_inside_disk():

@@ -127,6 +127,16 @@ def test_j_direct_logs_accepted_nonconvergence(caplog):
     assert not caplog.records
 
 
+@pytest.mark.parametrize("k", [1e-8j, 1e-6j, 1e-4j, 1e-6 + 1e-8j])
+def test_j_oracle_err_est_bounds_gap_at_small_k(k):
+    # at |k| << k0 the poles u = +-k make a spike of width |k| at the
+    # gap's end u = 0: its panels must see it, or err_est is too small
+    value, err, _, ok = wh.j_axis(k, RP, tol=1e-9)
+    gap = abs(value + cmath.log(wh.splus(k, RP)))
+    assert ok
+    assert gap <= err
+
+
 def test_j_rejects_lower_half_plane():
     with pytest.raises(ValueError):
         wh.j_direct(1 - 1j, RP)
