@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import re
 import sys
@@ -89,9 +90,18 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     path = getattr(args, "config", None)
     if path:
         try:
-            cfg.update(json.loads(Path(path).read_text()))
+            loaded = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"config file {path}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config file {path}: expected a JSON object")
+        for key, v in loaded.items():  # a bool is no JSON number
+            if not (key in ("a", "k0", "tol", "hbar")
+                    and type(v) in (int, float)
+                    or key == "format" and v in ("csv", "json")):
+                raise UsageError(f"config file {path}: {key} = {v!r} (a, k0,"
+                                 " tol, hbar take numbers; format csv, json)")
+        cfg.update(loaded)
     for key in ("a", "k0", "tol", "format"):
         v = getattr(args, key if key != "format" else "fmt", None)
         if v is not None:
@@ -101,7 +111,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if not all(v is not None for v in phys):
             raise UsageError("give all of --M --mu --lam --E or none")
         rp = reduce_params(PhysicalParams(args.M, args.mu, args.lam, args.E,
-                                          cfg.get("hbar", 1.0)))
+                                          cfg["hbar"]))
     else:
         rp = ReducedParams.from_a_k0(float(cfg["a"]), float(cfg["k0"]))
     out = Path(getattr(args, "out", None) or ".")
@@ -136,10 +146,7 @@ def cmd_factor(args) -> int:
         errs.append(0.0)
         print(f"S+(K) = {v.real:+.7f}{v.imag:+.7f}i   |S+(K)| = {abs(v):.7f}")
     if args.k_grid:
-        k_grid = parse_k_grid(args.k_grid).astype(complex).tolist()
-        if not k_grid:
-            raise UsageError("empty k grid")
-        for k in k_grid:
+        for k in parse_k_grid(args.k_grid).astype(complex).tolist():
             val = splus(k, rp)
             err = 0.0
             if args.check_oracle:
@@ -274,10 +281,7 @@ def cmd_figures(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        results = run_all(only=args.only, flip_branch=args.flip_branch)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    results = run_all(only=args.only, flip_branch=args.flip_branch)
     for r in results:
         print(r.line())
     n_fail = sum(not r.passed for r in results)
@@ -285,6 +289,7 @@ def cmd_validate(args) -> int:
     return 1 if n_fail else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = _GridArgumentParser(
         prog="wavecut",
@@ -347,14 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -1,19 +1,18 @@
-"""Structured file output: RFC-4180-style CSV and JSON with a metadata
-header.
+"""Structured file output: CSV and JSON with a metadata header.
 
 A table is an ordered mapping from column name (one of the SCHEMAS) to a
-list of Python scalars.  CSV writes the columns in that order, a header
-row and then one row per index; JSON holds the lists as given under
-``columns`` (keys sorted, like every object in the file) and the names
-in order under ``metadata.column_names``.  CSV numbers carry 17
-significant digits and JSON numbers Python's shortest round-trip form,
-so both round-trip doubles exactly and files are byte-stable for a fixed
-configuration.
+list of Python scalars.  CSV streams a header line, then one line per
+index, fields joined by commas and ended by CRLF.  No field needs RFC
+4180 quoting, as none can hold a comma, quote or line break: floats are
+``.17g``, bools ``true``/``false``, strings a column name, ``Method``
+value, law name or ``closed_form``.  JSON holds the lists under
+``columns`` and the names in order under ``metadata.column_names``, with
+keys sorted and numbers in shortest round-trip form.  Both formats
+round-trip doubles exactly and are byte-stable for a fixed configuration.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Mapping
@@ -38,11 +37,10 @@ def fmt(x) -> str:
 def write_table(path: str | Path, fmt_name: str, columns: Mapping[str, list],
                 metadata: Mapping) -> None:
     if fmt_name == "csv":
+        rows = zip(*(map(fmt, col) for col in columns.values()))
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\r\n")
-            w.writerow(columns)
-            w.writerows([fmt(v) for v in row]
-                        for row in zip(*columns.values()))
+            fh.write(",".join(columns) + "\r\n")
+            fh.writelines(",".join(row) + "\r\n" for row in rows)
     elif fmt_name == "json":
         doc = {"metadata": dict(metadata, column_names=list(columns)),
                "columns": columns}

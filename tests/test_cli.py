@@ -2,6 +2,7 @@
 byte-stability, schema conformance."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -12,7 +13,8 @@ import sys
 import numpy as np
 import pytest
 
-from wavecut.cli import main, parse_grid, parse_k_grid
+from wavecut.cli import build_parser, main, parse_grid, parse_k_grid
+from wavecut.output import fmt, write_table
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -25,6 +27,26 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def csv_module_bytes(names, columns):
+    """What csv.writer writes for the header and the fmt strings of the
+    columns: it quotes any field that needs quoting, so these bytes equal
+    the plain comma join only when no field does."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\r\n")
+    w.writerow(names)
+    w.writerows(zip(*([fmt(v) for v in columns[n]] for n in names)))
+    return buf.getvalue().encode()
+
+
+def child_env():
+    """Environment in which a child finds the package from src/ in an
+    uninstalled checkout."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 def test_parse_grid():
@@ -273,6 +295,8 @@ def test_csv_and_json_carry_the_same_columns(tmp_path, args, stems):
         doc = json.loads((tmp_path / f"{stem}.json").read_text())
         assert names == doc["metadata"]["column_names"]
         assert sorted(names) == sorted(doc["columns"])
+        assert (tmp_path / f"{stem}.csv").read_bytes() == \
+            csv_module_bytes(names, doc["columns"])
         for n, col in zip(names, zip(*rows)):
             want = doc["columns"][n]
             assert len(col) == len(want)
@@ -291,6 +315,22 @@ def test_csv_and_json_carry_the_same_columns(tmp_path, args, stems):
                 assert a2 == abs(complex(re_, im_)) ** 2
 
 
+def test_csv_writer_matches_csv_module_on_edge_values(tmp_path):
+    # every string the CLI writes: Method values, closed_form, law names
+    from wavecut.cli import _LAWS
+    from wavecut.wavefunction import Method
+    words = [m.value for m in Method] + ["closed_form", *_LAWS]
+    floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1]
+    table = {"re_psi": floats, "converged": [True, False] * 3 + [True],
+             "method": words}
+    assert len(words) == len(floats)
+    write_table(tmp_path / "t.csv", "csv", table, {})
+    assert (tmp_path / "t.csv").read_bytes() == \
+        csv_module_bytes(list(table), table)
+    assert (tmp_path / "t.csv").read_bytes().splitlines()[1] == \
+        b"nan,true,regional"
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"a": 2.0, "k0": 3.0}))
@@ -300,6 +340,37 @@ def test_config_file_precedence(tmp_path):
     doc = json.loads((tmp_path / "factor.json").read_text())
     assert doc["metadata"]["a"] == 2.0      # from config file
     assert doc["metadata"]["k0"] == 4.0     # flag overrides config
+
+
+def test_config_file_takes_numbers_and_a_format(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"a": 2, "k0": 3, "hbar": 1, "tol": 1e-6,
+                               "format": "json"}))
+    assert main(["factor", "--at-K", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "factor.json").read_text())
+    assert (doc["metadata"]["a"], doc["metadata"]["k0"]) == (2.0, 3.0)
+
+
+@pytest.mark.parametrize("text, phys", [
+    ("[1, 2]", False), ("3", False), ('"x"', False), ("null", False),
+    ('{"tol": null}', False), ('{"a": null}', False), ('{"a": "2"}', False),
+    ('{"k0": true}', False), ('{"tol": [1e-6]}', False),
+    ('{"format": "xml"}', False), ('{"format": 1}', False),
+    ('{"eps": 0.1}', False), ('{"hbar": "z"}', True),
+])
+def test_malformed_config_file_is_a_usage_error(tmp_path, capsys, text,
+                                                phys):
+    # rejected before any computation: no output directory is made
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(text)
+    args = ["wavefunction", "--R", "-2:-1:2", "--y", "0:1:2",
+            "--config", str(cfg), "--out", str(out)]
+    if phys:
+        args += ["--M", "2", "--mu", "0.5", "--lam", "1", "--E", "1"]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: config file {cfg}: ")
+    assert not out.exists()
 
 
 def test_physical_params_input(tmp_path):
@@ -350,11 +421,27 @@ def test_json_metadata_names_the_method_used(tmp_path):
 
 
 def test_entry_point_installed():
-    # the child finds the package from src/ in an uninstalled checkout
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src + (os.pathsep + path if path else ""))
     res = subprocess.run([sys.executable, "-m", "wavecut.cli", "--version"],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True, env=child_env())
     assert res.returncode == 0
+
+
+def test_shared_parser_carries_no_state(tmp_path):
+    # the grammar is built once per process; no option of one call may
+    # leak into the next
+    a, b, c, fresh = (tmp_path / d for d in ("a", "b", "c", "fresh"))
+    assert main(["factor", "--at-K", "--k-grid", "im:1:2:2", "--check-oracle",
+                 "--format", "json", "--out", str(a)]) == 0
+    assert main(["factor", "--k-grid", "im:1:2:2", "--out", str(b)]) == 0
+    assert main(["wavefunction", "--R", "-2:-1:2", "--y", "0:1:2",
+                 "--out", str(c)]) == 0
+    names, rows = read_csv(b / "factor.csv")
+    assert len(rows) == 2
+    assert all(r[names.index("err_est")] == "0" for r in rows)
+    assert sorted(p.name for p in b.iterdir()) == ["factor.csv"]
+    subprocess.run([sys.executable, "-m", "wavecut.cli", "factor",
+                    "--k-grid", "im:1:2:2", "--out", str(fresh)],
+                   capture_output=True, env=child_env(), check=True)
+    assert (b / "factor.csv").read_bytes() == \
+        (fresh / "factor.csv").read_bytes()
+    assert build_parser() is build_parser()
