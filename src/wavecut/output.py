@@ -2,13 +2,14 @@
 
 A table is an ordered mapping from column name (one of the SCHEMAS) to a
 list of Python scalars.  CSV streams a header line, then one line per
-index, fields joined by commas and ended by CRLF.  No field needs RFC
-4180 quoting, as none can hold a comma, quote or line break: floats are
-``.17g``, bools ``true``/``false``, strings a column name, ``Method``
-value, law name or ``closed_form``.  JSON holds the lists under
-``columns`` and the names in order under ``metadata.column_names``, with
-keys sorted and numbers in shortest round-trip form.  Both formats
-round-trip doubles exactly and are byte-stable for a fixed configuration.
+index from one %-template per table, fields joined by commas and ended
+by CRLF.  No field needs RFC 4180 quoting, as none can hold a comma,
+quote or line break: floats are ``.17g``, bools ``true``/``false``,
+strings a column name, ``Method`` value, law name or ``closed_form``.
+JSON holds the lists under ``columns`` and the names in order under
+``metadata.column_names``, with keys sorted and numbers in shortest
+round-trip form.  Both formats round-trip doubles exactly and are
+byte-stable for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -34,13 +35,26 @@ def fmt(x) -> str:
     return str(x)
 
 
+def _csv_field(col: list) -> tuple[str, list]:
+    """The %-template field of a column and the values it takes: %.17g
+    for a column of floats, else %s of the column's fmt strings (bools
+    first, since '%.17g' % True is '1'); the same text as fmt gives."""
+    kinds = set(map(type, col))
+    if kinds == {float}:
+        return "%.17g", col
+    if kinds == {bool}:
+        return "%s", ["true" if v else "false" for v in col]
+    return "%s", list(map(fmt, col))
+
+
 def write_table(path: str | Path, fmt_name: str, columns: Mapping[str, list],
                 metadata: Mapping) -> None:
     if fmt_name == "csv":
-        rows = zip(*(map(fmt, col) for col in columns.values()))
+        fields, cols = zip(*map(_csv_field, columns.values()))
+        line = ",".join(fields) + "\r\n"
         with open(path, "w", newline="") as fh:
             fh.write(",".join(columns) + "\r\n")
-            fh.writelines(",".join(row) + "\r\n" for row in rows)
+            fh.writelines(line % row for row in zip(*cols))
     elif fmt_name == "json":
         doc = {"metadata": dict(metadata, column_names=list(columns)),
                "columns": columns}

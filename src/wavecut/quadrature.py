@@ -5,9 +5,9 @@ smooth integrands (the contour pieces remove their endpoint roots by
 substitution before they get here), oscillatory integrands (initial panel
 width capped at a quarter of the hinted wavelength), and semi-infinite
 decaying rays given as (start, rate) (rational map s/(1-s) graded by
-the decay rate).  Each
-spec lays out and maps its own panels (_panel_edges, _map_panels), for
-this engine and for the fixed shared panels of the grid scan alike.
+the decay rate).  Each spec lays out its own panels (_panel_edges);
+one map (_map_panels) turns panels of any mix of specs into abscissae,
+for this engine and for the fixed shared panels of the grid scan alike.
 
 Each panel is evaluated with the 15-point Kronrod rule; the embedded
 7-point Gauss value provides the per-panel error estimate |K15 - G7|.
@@ -19,18 +19,23 @@ float64 array of abscissae and must return complex128 values of the same
 length.
 
 One call can integrate several pieces that share an integrand, such as
-the intervals of a contour.  Every piece keeps its own panels, tolerance,
-split budget and stopping rule; only the integrand call is shared, one
-per refinement round for all unfinished pieces.  A piece's value, error
-estimate and evaluation count are therefore the same as when it is
-integrated alone, while the fixed cost per integrand call is paid once
-per round instead of once per piece and round.
+the intervals of a contour.  Every piece keeps its own heap of panels,
+tolerance, split budget and stopping rule.  What the pieces share is the
+numeric pass of each refinement round, over the new panels of every
+unfinished piece at once: one panel map, one integrand call, one pair of
+K15/G7 matrix products and one conversion to Python scalars per column.
+The pieces then file their slices of those lists in their own heaps and
+select their next panels.  A piece's value, error estimate and
+evaluation count are therefore the same as when it is integrated alone,
+while the fixed NumPy cost is paid once per round instead of once per
+piece and round.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -75,6 +80,9 @@ _W7[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])
 
 # worst-first panels refined per adaptive sweep
 _BATCH = 64
+
+# a heap item's negated error estimate
+_NEG_ERR = operator.itemgetter(0)
 
 
 class Kind(Enum):
@@ -123,16 +131,23 @@ class QuadResult:
 _S_HI = 1.0 - 1e-6
 
 
-def _map_panels(spec: QuadratureSpec, los: np.ndarray, his: np.ndarray):
-    """K15 abscissae x of the panels [los, his] in the spec's own
-    variable s, the Jacobian dx/ds there (None on FINITE, where x = s)
-    and the panel half-widths.  The ray maps x = start + s/((1-s) rate)."""
+def _map_panels(los: np.ndarray, his: np.ndarray, pieces):
+    """K15 abscissae x, shape (panels, 15), of the panels [los, his], the
+    Jacobians dx/ds of the ray pieces among them and the panel
+    half-widths.  ``pieces`` lists (spec, rows) in row order, rows a slice
+    of the panels given in that spec's own variable s.  FINITE pieces
+    have x = s; a ray maps x = start + s/((1-s) rate) on its own rows and
+    adds (rows, dx/ds) to the Jacobian list."""
     h = 0.5 * (his - los)
-    s = ((0.5 * (los + his))[:, None] + h[:, None] * _NODES).ravel()
-    if spec.kind is Kind.FINITE:
-        return s, None, h
-    start, rate = spec.endpoints
-    return start + s / ((1.0 - s) * rate), 1.0 / (rate * (1.0 - s) ** 2), h
+    x = (0.5 * (los + his))[:, None] + h[:, None] * _NODES
+    jacs = []
+    for spec, rows in pieces:
+        if spec.kind is Kind.DECAYING_RAY:
+            start, rate = spec.endpoints
+            s = x[rows]  # a view: take dx/ds before x is overwritten
+            jacs.append((rows, 1.0 / (rate * (1.0 - s) ** 2)))
+            x[rows] = start + s / ((1.0 - s) * rate)
+    return x, jacs, h
 
 
 def _panel_edges(spec: QuadratureSpec, n: Optional[int] = None):
@@ -154,12 +169,17 @@ def _panel_edges(spec: QuadratureSpec, n: Optional[int] = None):
             n = int(min(16384, max(2, math.ceil(span / cap))))
         else:
             n = 8
-    return np.linspace(s0, s1, n + 1)
+    # np.linspace(s0, s1, n + 1) bit for bit (its arithmetic for a
+    # nonzero step), without the call overhead that was a fifth of a
+    # one-round integrate call
+    edges = np.arange(n + 1) * ((s1 - s0) / n) + s0
+    edges[-1] = s1
+    return edges
 
 
 class _Run:
-    """Adaptive state of one spec: its heap of panels, counts, limits and
-    the panel batch waiting for integrand values."""
+    """Adaptive state of one spec: its heap of panels, counts and limits.
+    A heap item is (-err, serial, lo, hi, value) of one panel."""
 
     def __init__(self, spec: QuadratureSpec):
         self.spec = spec
@@ -167,37 +187,24 @@ class _Run:
         self.counter = 0
         self.evals = 0
         self.splits = 0
-        self.batch = None
 
-    def stage(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        """Hold a panel batch; returns its K15 abscissae in x."""
-        x, jac, h = _map_panels(self.spec, los, his)
-        self.batch = (los, his, h, jac)
-        return x
-
-    def push(self, fx: np.ndarray) -> None:
-        """File the K15/G7 values of the held batch from its integrand
-        values fx."""
-        los, his, h, jac = self.batch
-        fv = (fx if jac is None else fx * jac).reshape(len(los), 15)
-        vals = (fv @ _W15) * h
-        errs = np.abs(vals - (fv @ _W7) * h)
-        self.evals += fv.size
-        # Python scalars: the heap compares them many times per round
+    def push(self, negerrs: list, los: list, his: list, vals: list) -> None:
+        """File evaluated panels, given as Python scalars: the heap
+        compares them many times per round."""
         n = self.counter
         self.counter += len(vals)
-        for item in zip((-errs).tolist(), range(n, self.counter),
-                        los.tolist(), his.tolist(), vals.tolist()):
+        self.evals += 15 * len(vals)
+        for item in zip(negerrs, range(n, self.counter), los, his, vals):
             heapq.heappush(self.heap, item)
 
-    def refine(self) -> Optional[np.ndarray]:
-        """Stage the panels to evaluate next and return their abscissae,
-        or None once finished: the error is within tol, the split budget
-        is spent, or nothing left can be split."""
+    def refine(self) -> Optional[tuple]:
+        """The (los, his) lists of the panels to evaluate next, or None
+        once finished: the error is within tol, the split budget is
+        spent, or nothing left can be split."""
         spec, heap = self.spec, self.heap
         if self.splits >= spec.max_subdivisions:
             return None
-        if -math.fsum(item[0] for item in heap) <= spec.tol:
+        if -math.fsum(map(_NEG_ERR, heap)) <= spec.tol:
             return None
         todo = []
         while heap and len(todo) < _BATCH:
@@ -218,17 +225,18 @@ class _Run:
         if not los:
             return None
         self.splits += len(los) // 2
-        return self.stage(np.array(los), np.array(his))
+        return los, his
 
     def result(self) -> QuadResult:
         # fsum is exactly rounded, so the order of the panels is immaterial
-        heap = self.heap
-        re = math.fsum(it[4].real for it in heap)
-        im = math.fsum(it[4].imag for it in heap)
-        err = math.fsum(-it[0] for it in heap)
-        # roundoff floor: accumulated double-precision noise over the panels
-        abs_sum = math.fsum(abs(it[4]) for it in heap)
-        err += 100.0 * 2.220446049250313e-16 * abs_sum
+        vals = [item[4] for item in self.heap]
+        re = math.fsum(v.real for v in vals)
+        im = math.fsum(v.imag for v in vals)
+        err = -math.fsum(map(_NEG_ERR, self.heap))
+        # roundoff floor: accumulated double-precision noise over the
+        # panels; Python's abs(complex), which np.abs can differ from by
+        # an ulp
+        err += 100.0 * 2.220446049250313e-16 * math.fsum(map(abs, vals))
         return QuadResult(complex(re, im), err, self.evals,
                           err <= self.spec.tol)
 
@@ -241,10 +249,12 @@ def integrate(f, *specs: QuadratureSpec) -> QuadResult:
     max_subdivisions, split count and stopping rule, so a piece takes the
     same panels and gives the same value, err_est and evaluations whether
     it is passed alone or with others.  What the pieces share is the
-    integrand call: in each refinement round the abscissae of every
-    unfinished piece's new panels go to ``f`` in one call, in spec order,
-    and the values are split back per piece.  A contour of n pieces then
-    costs one call per round instead of one per piece and round.
+    numeric pass of each refinement round: the new panels of every
+    unfinished piece, concatenated in spec order, are mapped to abscissae
+    once, go to ``f`` in one call, and get their K15 and G7 sums from one
+    pair of matrix products; each piece then files its slice of the
+    panels in its heap and selects its next ones.  A contour of n pieces
+    costs one pass per round instead of one per piece and round.
 
     Parameters
     ----------
@@ -265,25 +275,33 @@ def integrate(f, *specs: QuadratureSpec) -> QuadResult:
     if not specs:
         raise TypeError("integrate needs at least one QuadratureSpec")
     runs = [_Run(spec) for spec in specs]
-    live, xs = [], []
+    todo = []  # (run, los, his) of every piece with panels to evaluate
     for run in runs:
         edges = _panel_edges(run.spec)
         if edges is not None:  # an empty interval has no panels
-            live.append(run)
-            xs.append(run.stage(edges[:-1], edges[1:]))
-    while live:
-        fx = np.asarray(f(xs[0] if len(xs) == 1 else np.concatenate(xs)),
-                        dtype=np.complex128)
-        start = 0
-        pending, xs_next = [], []
-        for run, x in zip(live, xs):
-            run.push(fx[start:start + x.size])
-            start += x.size
-            x = run.refine()
-            if x is not None:
-                pending.append(run)
-                xs_next.append(x)
-        live, xs = pending, xs_next
+            todo.append((run, edges[:-1].tolist(), edges[1:].tolist()))
+    while todo:
+        los, his, pieces = [], [], []
+        for run, lo, hi in todo:
+            pieces.append((run.spec, slice(len(los), len(los) + len(lo))))
+            los += lo
+            his += hi
+        x, jacs, h = _map_panels(np.array(los), np.array(his), pieces)
+        fv = np.asarray(f(x.ravel()), dtype=np.complex128).reshape(x.shape)
+        if jacs:
+            fv = fv.copy()  # the integrand's array is not ours to scale
+            for rows, jac in jacs:
+                fv[rows] *= jac
+        vals = (fv @ _W15) * h
+        negerrs = (-np.abs(vals - (fv @ _W7) * h)).tolist()
+        vals = vals.tolist()
+        nxt = []
+        for (run, lo, hi), (_, rows) in zip(todo, pieces):
+            run.push(negerrs[rows], lo, hi, vals[rows])
+            panels = run.refine()
+            if panels is not None:
+                nxt.append((run, *panels))
+        todo = nxt
 
     results = [run.result() for run in runs]
     value, err = 0j, 0.0

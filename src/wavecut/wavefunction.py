@@ -539,10 +539,10 @@ def _fixed_nodes(piece, spec: QuadratureSpec, n_panels: int,
     times the spec's Jacobian, then its K15 and G7 weights per panel,
     each of shape (n_panels, 15)."""
     edges = _panel_edges(spec, n_panels)
-    x, jac, h = _map_panels(spec, edges[:-1], edges[1:])
-    z, q, amp, jump = piece(x, rp)
-    if jac is not None:
-        amp = amp * jac
+    x, jacs, h = _map_panels(edges[:-1], edges[1:], [(spec, slice(None))])
+    z, q, amp, jump = piece(x.ravel(), rp)
+    for _, jac in jacs:
+        amp = amp * jac.ravel()
     return z, q, amp, jump, h[:, None] * _W15, h[:, None] * _W7
 
 

@@ -331,6 +331,24 @@ def test_csv_writer_matches_csv_module_on_edge_values(tmp_path):
         b"nan,true,regional"
 
 
+def test_csv_templates_match_fmt(tmp_path):
+    # one %-template per table gives each field the text fmt gives it:
+    # float columns, bool columns ('%.17g' % True is '1'), strings, ints
+    # past 17 digits ('%.17g' would round them) and a mixed column
+    table = {
+        "f": [-0.0, math.nan, math.inf, -math.inf, 0.1, 5e-324, 1e22],
+        "b": [True, False, True, True, False, False, True],
+        "s": ["regional", "closed_form", "far32", "x", "", "true", "1"],
+        "i": [10 ** 20, -(2 ** 70), 0, 1, -7, 12345678901234567890, 2],
+        "mixed": [1, 2.5, True, "w", -0.0, 10 ** 18, math.nan],
+    }
+    write_table(tmp_path / "t.csv", "csv", table, {})
+    want = "f,b,s,i,mixed\r\n" + "".join(
+        ",".join(map(fmt, row)) + "\r\n" for row in zip(*table.values()))
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+    assert want.splitlines()[1] == "-0,true,regional,100000000000000000000,1"
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"a": 2.0, "k0": 3.0}))

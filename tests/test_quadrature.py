@@ -262,3 +262,129 @@ def test_multi_piece_convergence_is_all_pieces():
 def test_integrate_needs_a_spec():
     with pytest.raises(TypeError):
         integrate(lambda x: x + 0j)
+
+
+# ----------------------------------------------------------------------
+# golden pin: exact results of the library's integrate calls
+# ----------------------------------------------------------------------
+
+def _library_calls(module, call):
+    """The (integrand, specs) of the integrate calls that ``call`` makes
+    through the module, in order."""
+    with pytest.MonkeyPatch.context() as mp:
+        return _captured_calls(mp, module, call)
+
+
+def _golden_cases():
+    """Name -> (integrand, specs) of every pinned integrate call."""
+    from wavecut import wavefunction as wf
+    from wavecut import wiener_hopf as wh
+    from wavecut.model import ReducedParams
+
+    rp = ReducedParams.from_a_k0(1.0, 2.0)
+    cases = {}
+    # psi_unified's line pieces at each eps of the ladder
+    for eps, call in zip(wf._EPS_LADDER, _library_calls(
+            wf, lambda: wf.psi_unified_extrapolated(-6.5, 2.25, rp))):
+        cases[f"unified-eps{eps:g}"] = call
+    # the J oracle without and with its spike call (100|k| <= k0)
+    (cases["j_axis"],) = _library_calls(
+        wh, lambda: wh.j_axis(1.0 + 0.5j, rp, 1e-9))
+    cases["j_axis-spike"], cases["j_axis-near"] = _library_calls(
+        wh, lambda: wh.j_axis(0.01j, rp, 1e-9))
+    # a segment and a leg (a ray) on each side
+    cases["free-segment"], cases["free-leg"] = _library_calls(
+        wf, lambda: wf.psi_free(-3.0, 1.5, rp))
+    cases["atom-segment"], cases["atom-leg"] = _library_calls(
+        wf, lambda: wf.psi_atom(2.5, 0.75, rp))
+
+    def peak(floor):
+        return lambda x: 1.0 / (np.abs(x - 0.5) + floor) + 0j
+
+    cases["machine-width"] = (peak(1e-300), (QuadratureSpec(
+        Kind.FINITE, (0.0, 1.0), tol=1e-12, max_subdivisions=100000),))
+    cases["split-budget"] = (peak(1e-15), (QuadratureSpec(
+        Kind.FINITE, (0.0, 1.0), tol=1e-12, max_subdivisions=8),))
+    cases["empty-piece"] = (lambda x: np.exp(-x) + 0j, (
+        QuadratureSpec(Kind.FINITE, (0.0, 1.0), tol=1e-12),
+        QuadratureSpec(Kind.FINITE, (1.0, 1.0)),
+        QuadratureSpec(Kind.DECAYING_RAY, (1.0, 1.0), tol=1e-12)))
+    return cases
+
+
+# (repr value, repr err_est, evaluations, converged, integrand calls), as
+# the engine gave them when each piece still had its own numeric pass per
+# round (NumPy 2.4, x86-64): bit for bit the contract of any rework
+_GOLDEN = {
+    'unified-eps0.003': (
+        '(1.1243044720554267-1.6712569461338518j)',
+        '1.1676864649765107e-08', 5610, True, 5),
+    'unified-eps0.001': (
+        '(1.1394242479293573-1.6939675234818647j)',
+        '9.346540399422133e-09', 6030, True, 7),
+    'unified-eps0.0003': (
+        '(1.1447641828762394-1.7019890845281682j)',
+        '1.5890789630180653e-08', 6330, True, 8),
+    'j_axis': (
+        '(-0.3653993005256289+0.3566377694578607j)',
+        '1.0725134186749376e-10', 540, True, 4),
+    'j_axis-spike': (
+        '(17.44087401976929+72.41823358452257j)',
+        '1.6626903808058911e-12', 360, True, 1),
+    'j_axis-near': (
+        '(0.29958819677221765+0.3276623160863108j)',
+        '3.168831697558241e-09', 330, True, 2),
+    'free-segment': (
+        '(2.6287098731892042-0.6018917177908418j)',
+        '7.664272360519734e-14', 210, True, 1),
+    'free-leg': (
+        '(-0.12654086536617484-0.04902521088969031j)',
+        '1.7446397503260481e-09', 150, True, 1),
+    'atom-segment': (
+        '(-0.03482309527576132-0.08684680052989363j)',
+        '3.4595599804195184e-15', 150, True, 1),
+    'atom-leg': (
+        '(-0.05869592202082128+0.025131209688260922j)',
+        '3.0722497345640984e-08', 90, True, 1),
+    'machine-width': (
+        '(8.148263223450137e+283+0j)',
+        '8.148263223450319e+283', 54300, False, 45),
+    'split-budget': (
+        '(19.60877938790024+0j)',
+        '3.692173372039602', 360, False, 3),
+    'empty-piece': (
+        '(1+0j)',
+        '2.4031282087343082e-14', 360, True, 3),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_cases():
+    return _golden_cases()
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN))
+def test_integrate_golden(golden_cases, name):
+    f, specs = golden_cases[name]
+    g = _counting(f)
+    res = integrate(g, *specs)
+    assert (repr(res.value), repr(res.err_est), res.evaluations,
+            res.converged, g.calls) == _GOLDEN[name]
+
+
+def test_panel_edges_equal_linspace():
+    # the panel layout is np.linspace's, bit for bit, on either kind
+    from wavecut.quadrature import _panel_edges
+
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        a, b = rng.normal(size=2) * 10.0 ** rng.integers(-9, 9, size=2)
+        n = int(rng.integers(1, 5000))
+        edges = _panel_edges(QuadratureSpec(Kind.FINITE, (a, b)), n)
+        assert edges.tobytes() == np.linspace(a, b, n + 1).tobytes()
+    for hint in (None, 0.05, 3.0):
+        spec = QuadratureSpec(Kind.DECAYING_RAY, (1.0, 0.7),
+                              oscillation_hint=hint)
+        edges = _panel_edges(spec)
+        assert edges.tobytes() == \
+            np.linspace(0.0, 1.0 - 1e-6, len(edges)).tobytes()
