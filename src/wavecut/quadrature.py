@@ -3,20 +3,23 @@
 One engine serves every integral in the package: finite intervals of
 smooth integrands (the contour pieces remove their endpoint roots by
 substitution before they get here), oscillatory integrands (initial panel
-width capped at a quarter of the hinted wavelength), and semi-infinite
-decaying rays given as (start, rate) (rational map s/(1-s) graded by
-the decay rate).  Each spec lays out its own panels (_panel_edges);
-one map (_map_panels) turns panels of any mix of specs into abscissae,
-for this engine and for the fixed shared panels of the grid scan alike.
+width capped at a quarter of the oscillation hint: the wave-function
+pieces pass four times their wavelength, so a wavelength gets one initial
+panel), and semi-infinite decaying rays given as (start, rate) (rational
+map s/(1-s) graded by the decay rate).  Each spec lays out its own
+panels (_panel_edges); one map (_map_panels) turns panels of any mix of
+specs into abscissae, for this engine and for the fixed shared panels of
+the grid scan alike.
 
 Each panel is evaluated with the 15-point Kronrod rule; the embedded
 7-point Gauss value provides the per-panel error estimate |K15 - G7|.
 Panels are bisected worst-first, up to _BATCH per sweep (globally
-adaptive G7/K15, as in QUADPACK's QAG: Piessens et al., 1983).  The final
-sum over the panels uses math.fsum, which is exactly rounded, so results
-are bit-reproducible for a fixed configuration.  Integrands receive a 1-D
-float64 array of abscissae and must return complex128 values of the same
-length.
+adaptive G7/K15, as in QUADPACK's QAG: Piessens et al., 1983) until the
+summed panel errors plus a roundoff floor are within tol, the same rule
+that sets the converged flag.  The final sum over the panels uses
+math.fsum, which is exactly rounded, so results are bit-reproducible for
+a fixed configuration.  Integrands receive a 1-D float64 array of
+abscissae and must return complex128 values of the same length.
 
 One call can integrate several pieces that share an integrand, such as
 the intervals of a contour.  Every piece keeps its own heap of panels,
@@ -96,7 +99,10 @@ class QuadratureSpec:
 
     For FINITE, ``endpoints`` is (a, b), both finite.  For DECAYING_RAY
     it is (start, rate): the path start + u, u >= 0, with integrand decay
-    ~exp(-rate*u), rate > 0.  ``oscillation_hint`` is a wavelength scale.
+    ~exp(-rate*u), rate > 0.  ``oscillation_hint`` caps the initial
+    panels at a quarter of its length in x: a hint of one wavelength
+    gives four initial panels per wavelength, a hint of four wavelengths
+    (what the wave-function pieces pass) one.
     """
     kind: Kind
     endpoints: tuple
@@ -154,7 +160,9 @@ def _panel_edges(spec: QuadratureSpec, n: Optional[int] = None):
     """Edges of n equal panels in the spec's own variable, None for an
     empty interval.  The default n keeps each panel within a quarter of
     the oscillation hint over the x-span (30 decay lengths on the ray),
-    at most 16384 panels; without a hint it is 8."""
+    so a wavelength L gets 4 L/hint of them (one for the wave-function
+    pieces, whose hint is 4 L), with at least 2 and at most 16384
+    panels; without a hint it is 8."""
     if spec.kind is Kind.FINITE:
         s0, s1 = spec.endpoints
         if s0 == s1:
@@ -199,13 +207,20 @@ class _Run:
 
     def refine(self) -> Optional[tuple]:
         """The (los, his) lists of the panels to evaluate next, or None
-        once finished: the error is within tol, the split budget is
-        spent, or nothing left can be split."""
+        once finished: the panel errors plus the roundoff floor are
+        within tol (the rule result() judges converged by), the floor
+        alone exceeds tol, the split budget is spent, or nothing left can
+        be split."""
         spec, heap = self.spec, self.heap
         if self.splits >= spec.max_subdivisions:
             return None
-        if -math.fsum(map(_NEG_ERR, heap)) <= spec.tol:
-            return None
+        err = -math.fsum(map(_NEG_ERR, heap))
+        if err <= spec.tol:
+            # the floor costs a pass over the heap, so only here; splitting
+            # does not lower it, so once it alone exceeds tol no split helps
+            floor = self.floor()
+            if err + floor <= spec.tol or floor > spec.tol:
+                return None
         todo = []
         while heap and len(todo) < _BATCH:
             item = heapq.heappop(heap)
@@ -227,16 +242,19 @@ class _Run:
         self.splits += len(los) // 2
         return los, his
 
+    def floor(self) -> float:
+        """Roundoff floor of the error estimate: accumulated
+        double-precision noise over the panels, from Python's
+        abs(complex), which np.abs can differ from by an ulp."""
+        return 100.0 * 2.220446049250313e-16 * math.fsum(
+            abs(item[4]) for item in self.heap)
+
     def result(self) -> QuadResult:
         # fsum is exactly rounded, so the order of the panels is immaterial
         vals = [item[4] for item in self.heap]
         re = math.fsum(v.real for v in vals)
         im = math.fsum(v.imag for v in vals)
-        err = -math.fsum(map(_NEG_ERR, self.heap))
-        # roundoff floor: accumulated double-precision noise over the
-        # panels; Python's abs(complex), which np.abs can differ from by
-        # an ulp
-        err += 100.0 * 2.220446049250313e-16 * math.fsum(map(abs, vals))
+        err = -math.fsum(map(_NEG_ERR, self.heap)) + self.floor()
         return QuadResult(complex(re, im), err, self.evals,
                           err <= self.spec.tol)
 

@@ -125,7 +125,9 @@ def _phase_rate(rp: ReducedParams, R: float, y: float) -> float:
 
 
 def _hint_t(rp: ReducedParams, R: float, y: float) -> float:
-    return 2.0 * PI / max(_phase_rate(rp, R, y), 2.0)
+    """The segment's oscillation_hint: four times its shortest wavelength
+    2 pi / _phase_rate in t, so each initial panel spans one wavelength."""
+    return 8.0 * PI / max(_phase_rate(rp, R, y), 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -214,8 +216,10 @@ def _piece_integral(piece, R: float, y: float, rp: ReducedParams, tol: float,
         return amp * np.exp(z * R) * _transverse(q, ay, jump, single)
 
     if piece in (_free_leg, _atom_leg):
+        # four times the wavelength 2 pi/|y| of cos(|y| q): one wavelength
+        # per initial panel
         spec = QuadratureSpec(Kind.DECAYING_RAY, (0.0, abs(R)), tol=tol,
-                              oscillation_hint=2.0 * PI / max(ay, 0.5))
+                              oscillation_hint=8.0 * PI / max(ay, 0.5))
     else:
         spec = QuadratureSpec(Kind.FINITE, (0.0, math.sqrt(rp.k0)), tol=tol,
                               oscillation_hint=_hint_t(rp, R, y))
@@ -390,7 +394,9 @@ def psi_unified(R: float, y: float, rp: ReducedParams, eps: float = 1e-3,
         cuts.extend([p - 30 * d, p - 3 * d, p + 3 * d, p + 30 * d, p - 0.4,
                      p + 0.4])
     edges = sorted({-X, X, *[e for e in cuts if -X < e < X]})
-    hint = 2.0 * PI / (aR + ay + 1.0)
+    # four times the wavelength 2 pi/(|R| + |y| + 1) of e^{-ikR-|y|w}: one
+    # wavelength per initial panel
+    hint = 8.0 * PI / (aR + ay + 1.0)
     res = integrate(f, *[QuadratureSpec(Kind.FINITE, (lo, hi),
                                         tol=tol / (len(edges) - 1),
                                         oscillation_hint=hint,

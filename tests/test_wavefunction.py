@@ -211,6 +211,43 @@ def test_regional_routes_even_in_y(log_a, log_k0, aR, y):
         assert route(R, y, rp).psi == route(R, -y, rp).psi
 
 
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(log_a=st.floats(math.log(0.05), math.log(5.0)),
+       log_k0=st.floats(math.log(0.05), math.log(5.0)),
+       aR=st.floats(0.2, 60.0), sign=st.sampled_from((-1.0, 1.0)),
+       y=st.floats(0.01, 20.0))
+def test_regional_err_est_bounds_gap(log_a, log_k0, aR, sign, y):
+    # initial panels one wavelength wide: at tol 1e-8 the adaptive routes
+    # still converge and err_est bounds the gap to a tol 1e-13 value
+    rp = ReducedParams.from_a_k0(math.exp(log_a), math.exp(log_k0))
+    R = sign * aR
+    route = psi_free if R < 0 else psi_atom
+    s = route(R, y, rp, tol=1e-8)
+    assert s.converged
+    assert abs(s.psi - route(R, y, rp, tol=1e-13).psi) <= s.err_est
+
+
+@pytest.mark.parametrize("R, y, bound", [
+    (-300.0, 2.0, 3_300), (-3000.0, 2.0, 31_600), (3000.0, 2.0, 31_600),
+    (-5.0, 500.0, 16_200)])
+def test_regional_evaluation_counts(monkeypatch, R, y, bound):
+    # the initial layout, not tol, sets the cost of a call: bounds about
+    # 10% above the counts at one wavelength per initial panel (2,955,
+    # 28,710 for either sign, 14,760)
+    evals = []
+    real = wf.integrate
+
+    def counted(f, *specs):
+        res = real(f, *specs)
+        evals.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(wf, "integrate", counted)
+    s = (psi_free if R < 0 else psi_atom)(R, y, RP, tol=1e-8)
+    assert s.converged
+    assert sum(evals) <= bound
+
+
 def test_unified_eps_guard():
     with pytest.raises(ValueError):
         psi_unified(-2.0, 0.0, RP, eps=1e-9)

@@ -127,6 +127,17 @@ def test_j_direct_logs_accepted_nonconvergence(caplog):
     assert not caplog.records
 
 
+def test_j_axis_refines_until_its_floor_fits_in_tol():
+    # at these parameters the gap piece's panel errors sum to just under
+    # its tol and the roundoff floor takes the total past it: refinement
+    # goes on until the two together fit, the rule converged is judged by
+    rp = ReducedParams.from_a_k0(1.895274163524686, 1.463629551289868)
+    k = -1.4052530324709698 + 0.11325322419008921j
+    value, err, _, ok = wh.j_axis(k, rp, tol=1e-9)
+    assert ok
+    assert abs(value + cmath.log(wh.splus(k, rp))) <= err <= 1e-9
+
+
 @pytest.mark.parametrize("k", [1e-8j, 1e-6j, 1e-4j, 1e-6 + 1e-8j])
 def test_j_oracle_err_est_bounds_gap_at_small_k(k):
     # at |k| << k0 the poles u = +-k make a spike of width |k| at the
