@@ -15,6 +15,7 @@ import argparse
 import cmath
 import functools
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -60,7 +61,7 @@ class RunConfig:
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """start:stop:count, inclusive at both ends."""
+    """start:stop:count, inclusive at both ends; start and stop finite."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid {text!r}: expected start:stop:count")
@@ -69,6 +70,8 @@ def parse_grid(text: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError as exc:
         raise UsageError(f"grid {text!r}: {exc}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError(f"grid {text!r}: start and stop must be finite")
     if count < 1:
         raise UsageError(f"grid {text!r}: count must be >= 1")
     if count == 1:

@@ -2,11 +2,10 @@
 
 One engine serves every integral in the package: finite intervals of
 smooth integrands (the contour pieces remove their endpoint roots by
-substitution before they get here), oscillatory integrands (initial panel
-width capped at a quarter of the oscillation hint: the wave-function
-pieces pass four times their wavelength, so a wavelength gets one initial
-panel), and semi-infinite decaying rays given as (start, rate) (rational
-map s/(1-s) graded by the decay rate).  Each spec lays out its own
+substitution before they get here), oscillatory integrands (initial panels
+no wider than the spec's panel_width: the wave-function pieces pass their
+wavelength), and semi-infinite decaying rays given as (start, rate)
+(rational map s/(1-s) graded by the decay rate).  Each spec lays out its own
 panels (_panel_edges); one map (_map_panels) turns panels of any mix of
 specs into abscissae, for this engine and for the fixed shared panels of
 the grid scan alike.
@@ -99,14 +98,13 @@ class QuadratureSpec:
 
     For FINITE, ``endpoints`` is (a, b), both finite.  For DECAYING_RAY
     it is (start, rate): the path start + u, u >= 0, with integrand decay
-    ~exp(-rate*u), rate > 0.  ``oscillation_hint`` caps the initial
-    panels at a quarter of its length in x: a hint of one wavelength
-    gives four initial panels per wavelength, a hint of four wavelengths
-    (what the wave-function pieces pass) one.
+    ~exp(-rate*u), rate > 0.  ``panel_width`` caps the width of the
+    initial panels in x: the wave-function pieces pass their wavelength,
+    so each wavelength gets one initial panel.
     """
     kind: Kind
     endpoints: tuple
-    oscillation_hint: Optional[float] = None
+    panel_width: Optional[float] = None
     tol: float = 1e-10
     max_subdivisions: int = 4000
 
@@ -158,11 +156,9 @@ def _map_panels(los: np.ndarray, his: np.ndarray, pieces):
 
 def _panel_edges(spec: QuadratureSpec, n: Optional[int] = None):
     """Edges of n equal panels in the spec's own variable, None for an
-    empty interval.  The default n keeps each panel within a quarter of
-    the oscillation hint over the x-span (30 decay lengths on the ray),
-    so a wavelength L gets 4 L/hint of them (one for the wave-function
-    pieces, whose hint is 4 L), with at least 2 and at most 16384
-    panels; without a hint it is 8."""
+    empty interval.  The default n keeps each panel within panel_width
+    over the x-span (30 decay lengths on the ray): ceil(span /
+    panel_width), at least 2 and at most 16384; without a width it is 8."""
     if spec.kind is Kind.FINITE:
         s0, s1 = spec.endpoints
         if s0 == s1:
@@ -172,9 +168,8 @@ def _panel_edges(spec: QuadratureSpec, n: Optional[int] = None):
         s0, s1 = 0.0, _S_HI
         span = 30.0 / spec.endpoints[1]
     if n is None:
-        if spec.oscillation_hint is not None and spec.oscillation_hint > 0:
-            cap = spec.oscillation_hint / 4.0
-            n = int(min(16384, max(2, math.ceil(span / cap))))
+        if spec.panel_width is not None and spec.panel_width > 0:
+            n = int(min(16384, max(2, math.ceil(span / spec.panel_width))))
         else:
             n = 8
     # np.linspace(s0, s1, n + 1) bit for bit (its arithmetic for a

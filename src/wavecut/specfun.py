@@ -69,15 +69,12 @@ def ti2(z, side: int | None = None):
     """
     arr, scalar = _as_array(z)
     oncut = (arr.real == 0.0) & (np.abs(arr.imag) >= 1.0)
+    if oncut.any() and side is None:
+        raise CutSideError(
+            "Ti2 argument on the imaginary-axis cut; pass side=+1 or -1")
+    out = _backend.ti2(arr)
     if oncut.any():
-        if side is None:
-            raise CutSideError(
-                "Ti2 argument on the imaginary-axis cut; pass side=+1 or -1")
-        out = _backend.ti2(arr)
-        vals = [_ti2_oncut(complex(zz), side) for zz in arr[oncut]]
-        out[oncut] = vals
-    else:
-        out = _backend.ti2(arr)
+        out[oncut] = [_ti2_oncut(complex(zz), side) for zz in arr[oncut]]
     if scalar:
         return complex(out[0])
     return out.reshape(np.shape(z))
@@ -104,65 +101,62 @@ def im_ti2(z, side: int | None = None):
     return np.imag(val)
 
 
-def dilog_series_reference(z: complex, nterms: int = 400) -> complex:
+# highest power of z in the series references (0.75^400 is far below an
+# ulp) and Simpson intervals of the path-quadrature references
+_SERIES_POWER = 400
+_SIMPSON_INTERVALS = 20000
+
+
+def dilog_series_reference(z: complex) -> complex:
     """Direct power-series sum, |z| <= 0.75 only.  Test reference."""
     if abs(z) > 0.75:
         raise ValueError("series reference restricted to |z| <= 0.75")
     z = complex(z)
     total = 0.0 + 0.0j
-    for n in range(nterms, 0, -1):
+    for n in range(_SERIES_POWER, 0, -1):
         total += z ** n / (n * n)
     return total
 
 
-def ti2_series_reference(z: complex, nterms: int = 200) -> complex:
+def ti2_series_reference(z: complex) -> complex:
     """Term-by-term sum of (-1)^n z^(2n+1)/(2n+1)^2, |z| <= 0.75 only."""
     if abs(z) > 0.75:
         raise ValueError("series reference restricted to |z| <= 0.75")
     z = complex(z)
     total = 0.0 + 0.0j
-    for n in range(nterms, -1, -1):
+    for n in range(_SERIES_POWER // 2, -1, -1):
         total += (-1) ** n * z ** (2 * n + 1) / (2 * n + 1) ** 2
     return total
 
 
-def dilog_quadrature_reference(z: complex, n: int = 4000) -> complex:
+def _path_simpson(g, z: complex) -> complex:
+    """Composite Simpson of g(u) du along the straight segment [0, z],
+    with g(0) = 1, the limit of both reference integrands."""
+    z = complex(z)
+    if z == 0:
+        return 0j
+
+    def f(s: float) -> complex:
+        u = s * z
+        return complex(1.0) if u == 0 else g(u)
+
+    n = _SIMPSON_INTERVALS
+    h = 1.0 / n
+    total = f(0.0) + f(1.0)
+    for i in range(1, n):
+        total += (4.0 if i % 2 else 2.0) * f(i * h)
+    return z * total * h / 3.0
+
+
+def dilog_quadrature_reference(z: complex) -> complex:
     """Brute-force path quadrature of -ln(1-u)/u along [0, z].
 
     Composite Simpson on the straight segment; independent of the
     series/transformation evaluation path.  Oracle use only.
     """
-    z = complex(z)
-    if z == 0:
-        return 0j
-
-    def f(s: float) -> complex:
-        u = s * z
-        if u == 0:
-            return complex(1.0)  # limit of -ln(1-u)/u at 0
-        return -cmath.log(1.0 - u) / u
-
-    h = 1.0 / n
-    total = f(0.0) + f(1.0)
-    for i in range(1, n):
-        total += (4.0 if i % 2 else 2.0) * f(i * h)
-    return z * total * h / 3.0
+    return _path_simpson(lambda u: -cmath.log(1.0 - u) / u, z)
 
 
-def ti2_quadrature_reference(z: complex, n: int = 4000) -> complex:
+def ti2_quadrature_reference(z: complex) -> complex:
     """Brute-force path quadrature of arctan(u)/u along [0, z]."""
-    z = complex(z)
-    if z == 0:
-        return 0j
-
-    def f(s: float) -> complex:
-        u = s * z
-        if u == 0:
-            return complex(1.0)
-        return cmath.atan(u) / u
-
-    h = 1.0 / n
-    total = f(0.0) + f(1.0)
-    for i in range(1, n):
-        total += (4.0 if i % 2 else 2.0) * f(i * h)
-    return z * total * h / 3.0
+    return _path_simpson(lambda u: cmath.atan(u) / u, z)

@@ -48,7 +48,7 @@ from .model import ReducedParams
 from .quadrature import (_W7, _W15, Kind, QuadratureSpec, _map_panels,
                          _panel_edges, integrate)
 from .specfun import dilog, im_ti2, ti2
-from .wiener_hopf import splus_at_K
+from .wiener_hopf import splus_array, splus_at_K
 
 PI = math.pi
 
@@ -97,11 +97,15 @@ class AsymptoticPhases:
     xi: float
 
 
-def _check_inputs(R, y, tol: float) -> None:
-    """R and y (scalars or arrays) must be finite and tol positive; NaN
-    fails both checks."""
+def _check_finite(R, y) -> None:
+    """R and y, scalars or arrays, must be finite."""
     if not (np.isfinite(R).all() and np.isfinite(y).all()):
         raise ValueError("R and y must be finite")
+
+
+def _check_inputs(R, y, tol: float) -> None:
+    """R and y must be finite and tol positive; NaN fails both checks."""
+    _check_finite(R, y)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
@@ -124,10 +128,10 @@ def _phase_rate(rp: ReducedParams, R: float, y: float) -> float:
     return 2.0 * math.sqrt(rp.k0) * abs(R) + 2.0 * math.sqrt(2 * rp.k0) * abs(y)
 
 
-def _hint_t(rp: ReducedParams, R: float, y: float) -> float:
-    """The segment's oscillation_hint: four times its shortest wavelength
-    2 pi / _phase_rate in t, so each initial panel spans one wavelength."""
-    return 8.0 * PI / max(_phase_rate(rp, R, y), 2.0)
+def _wavelength_t(rp: ReducedParams, R: float, y: float) -> float:
+    """The segment's shortest wavelength 2 pi / _phase_rate in t, its
+    panel_width."""
+    return 2.0 * PI / max(_phase_rate(rp, R, y), 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -143,19 +147,13 @@ def _hint_t(rp: ReducedParams, R: float, y: float) -> float:
 #     psi = [R > 0] bound pair + pref/(2 pi) (segment - i leg).
 # ----------------------------------------------------------------------
 
-def _splus(k: np.ndarray, rp: ReducedParams) -> np.ndarray:
-    """S+ on contour points, none of which is real and left of -k0: the
-    kernel itself, without splus_array's check for that cut."""
-    return _backend.splus(k, rp.a, rp.k0, rp.K)
-
-
 def _free_segment(t: np.ndarray, rp: ReducedParams):
     """Upper cut, both sides: x = k0 - t^2 over t in (0, sqrt(k0))."""
     g = np.sqrt(2.0 * rp.k0 - t * t)
     x = rp.k0 - t * t
     q = t * g
     # K^2 - x^2 = a^2 + q^2, free of cancellation as a -> 0
-    amp = 2.0 * g / (_splus(x, rp) * (rp.a * rp.a + q * q))
+    amp = 2.0 * g / (splus_array(x, rp) * (rp.a * rp.a + q * q))
     return -1j * x, q, amp, None
 
 
@@ -163,7 +161,7 @@ def _free_leg(t: np.ndarray, rp: ReducedParams):
     """Positive imaginary axis k = i t, decaying like e^{-t|R|}."""
     k = 1j * t
     v = np.sqrt(rp.k0 * rp.k0 + t * t)
-    amp = (rp.k0 + k) / v / ((t * t + rp.K * rp.K) * _splus(k, rp))
+    amp = (rp.k0 + k) / v / ((t * t + rp.K * rp.K) * splus_array(k, rp))
     return t, v, amp, None
 
 
@@ -173,7 +171,7 @@ def _atom_segment(t: np.ndarray, rp: ReducedParams):
     g = np.sqrt(2.0 * rp.k0 - t * t)
     x = -rp.k0 + t * t
     q = t * g
-    amp = -(2.0 * t * t / g) / (_splus(x, rp) * (a * a + q * q))
+    amp = -(2.0 * t * t / g) / (splus_array(x, rp) * (a * a + q * q))
     return -1j * x, q, amp, (a + 1j * q) / (a - 1j * q)
 
 
@@ -182,7 +180,7 @@ def _atom_leg(t: np.ndarray, rp: ReducedParams):
     a = rp.a
     k = -1j * t
     v = np.sqrt(rp.k0 * rp.k0 + t * t)
-    amp = -(rp.k0 + k) / v / ((t * t + rp.K * rp.K) * _splus(k, rp))
+    amp = -(rp.k0 + k) / v / ((t * t + rp.K * rp.K) * splus_array(k, rp))
     return -t, v, amp, (a + 1j * v) / (a - 1j * v)
 
 
@@ -216,13 +214,12 @@ def _piece_integral(piece, R: float, y: float, rp: ReducedParams, tol: float,
         return amp * np.exp(z * R) * _transverse(q, ay, jump, single)
 
     if piece in (_free_leg, _atom_leg):
-        # four times the wavelength 2 pi/|y| of cos(|y| q): one wavelength
-        # per initial panel
+        # one initial panel per wavelength 2 pi/|y| of cos(|y| q)
         spec = QuadratureSpec(Kind.DECAYING_RAY, (0.0, abs(R)), tol=tol,
-                              oscillation_hint=8.0 * PI / max(ay, 0.5))
+                              panel_width=2.0 * PI / max(ay, 0.5))
     else:
         spec = QuadratureSpec(Kind.FINITE, (0.0, math.sqrt(rp.k0)), tol=tol,
-                              oscillation_hint=_hint_t(rp, R, y))
+                              panel_width=_wavelength_t(rp, R, y))
     return integrate(f, spec)
 
 
@@ -394,12 +391,12 @@ def psi_unified(R: float, y: float, rp: ReducedParams, eps: float = 1e-3,
         cuts.extend([p - 30 * d, p - 3 * d, p + 3 * d, p + 30 * d, p - 0.4,
                      p + 0.4])
     edges = sorted({-X, X, *[e for e in cuts if -X < e < X]})
-    # four times the wavelength 2 pi/(|R| + |y| + 1) of e^{-ikR-|y|w}: one
-    # wavelength per initial panel
-    hint = 8.0 * PI / (aR + ay + 1.0)
+    # one initial panel per wavelength 2 pi/(|R| + |y| + 1) of
+    # e^{-ikR-|y|w}
+    width = 2.0 * PI / (aR + ay + 1.0)
     res = integrate(f, *[QuadratureSpec(Kind.FINITE, (lo, hi),
                                         tol=tol / (len(edges) - 1),
-                                        oscillation_hint=hint,
+                                        panel_width=width,
                                         max_subdivisions=6000)
                          for lo, hi in zip(edges[:-1], edges[1:])])
     total = res.value
@@ -442,6 +439,11 @@ def psi_unified_extrapolated(R: float, y: float, rp: ReducedParams,
 # asymptotics
 # ----------------------------------------------------------------------
 
+def _phi_minus(rp: ReducedParams) -> float:
+    """The far-field phase constant (2/pi) Im Ti2((k0 + i a)/K)."""
+    return (2.0 / PI) * im_ti2(complex(rp.k0, rp.a) / rp.K)
+
+
 def asymptotic_phases(rp: ReducedParams, xi: float) -> AsymptoticPhases:
     """Far-field phase constants.
 
@@ -449,18 +451,17 @@ def asymptotic_phases(rp: ReducedParams, xi: float) -> AsymptoticPhases:
     phi_plus  = Li2(a^2/K^2)/2 - 2 Li2(a/K)
                 - Im Ti2((k0 xi + i a)/(K - k0 + k0 xi^2 / 2)).
     """
-    if abs(xi) >= 1.0:
-        raise ValueError("xi = y/R must satisfy |xi| < 1")
+    if not abs(xi) < 1.0:
+        raise ValueError(f"xi = y/R must be finite with |xi| < 1, got {xi}")
     _require_k0(rp, "asymptotic_phases")
     a, k0, K = rp.a, rp.k0, rp.K
-    pm = (2.0 / PI) * im_ti2(complex(k0, a) / K)
     z = complex(k0 * xi, a) / (K - k0 + 0.5 * k0 * xi * xi)
     # at xi = 0 the argument sits on the arctangent-integral cut; take the
     # side continuous from xi > 0
     side = 1 if z.real == 0.0 else None
     pp = (0.5 * dilog(a * a / (K * K)).real - 2.0 * dilog(a / K).real
           - im_ti2(z, side=side))
-    return AsymptoticPhases(phi_minus=pm, phi_plus=pp, xi=xi)
+    return AsymptoticPhases(phi_minus=_phi_minus(rp), phi_plus=pp, xi=xi)
 
 
 def far_field(R: float, y: float, rp: ReducedParams) -> complex:
@@ -473,13 +474,13 @@ def far_field(R: float, y: float, rp: ReducedParams) -> complex:
     segment integral; the exact field also carries a branch-point term
     ~|R|^(-1/2) not described by this law, so no error bound is returned.
     """
+    _check_finite(R, y)
     if R >= 0.0:
         raise ValueError("far_field requires R < 0")
     _require_k0(rp, "far_field")
     a, k0, K = rp.a, rp.k0, rp.K
-    pm = (2.0 / PI) * im_ti2(complex(k0, a) / K)
     amp = a / (1j * PI * K * K * R * math.sqrt(2.0 * k0 * (K + k0)))
-    return amp * cmath.exp(-1j * (k0 * abs(y) + pm))
+    return amp * cmath.exp(-1j * (k0 * abs(y) + _phi_minus(rp)))
 
 
 def steepest_descent(R: float, y: float, rp: ReducedParams) -> complex:
@@ -491,6 +492,7 @@ def steepest_descent(R: float, y: float, rp: ReducedParams) -> complex:
 
     with xi = y/R, |xi| < 1.
     """
+    _check_finite(R, y)
     if R <= 0.0:
         raise ValueError("steepest_descent requires R > 0")
     _require_k0(rp, "steepest_descent")
@@ -514,6 +516,7 @@ def psi_tail_saddle(R: float, y: float, rp: ReducedParams) -> complex:
     Used for the displacement diagnostic beyond the exact-quadrature
     window; accuracy a few percent once the saddle width clears the
     segment ends."""
+    _check_finite(R, y)
     k0 = rp.k0
     ay = abs(y)
     if ay == 0.0:
@@ -523,6 +526,10 @@ def psi_tail_saddle(R: float, y: float, rp: ReducedParams) -> complex:
     # the free segment's node of x* = k0 - t^2; its amplitude carries the
     # Jacobian dx/dt = -2t
     ts = math.sqrt(k0 * (1.0 + R / rho))
+    if ts == 0.0 or 2.0 * k0 - ts * ts <= 0.0:
+        raise ValueError(f"saddle form at (R, y) = ({R}, {y}): |y| is too "
+                         "small against |R|, the saddle reaches a branch "
+                         "point")
     amp = complex(_free_segment(np.array([ts]), rp)[2][0]) / (2.0 * ts)
     qs = k0 * ay / rho
     return (_pref(rp) / (2.0 * PI) * amp
@@ -543,8 +550,11 @@ def _fixed_nodes(piece, spec: QuadratureSpec, n_panels: int,
                  rp: ReducedParams):
     """A piece's (z, q, amp, jump) on n_panels equal panels of spec, amp
     times the spec's Jacobian, then its K15 and G7 weights per panel,
-    each of shape (n_panels, 15)."""
+    each of shape (n_panels, 15); an empty spec has no nodes."""
     edges = _panel_edges(spec, n_panels)
+    if edges is None:
+        none, w = np.empty(0), np.empty((0, 15))
+        return none, none, none, None, w, w
     x, jacs, h = _map_panels(edges[:-1], edges[1:], [(spec, slice(None))])
     z, q, amp, jump = piece(x.ravel(), rp)
     for _, jac in jacs:
@@ -592,7 +602,6 @@ def _scan_region(rp: ReducedParams, R_vals: np.ndarray, y_vals: np.ndarray,
     R > 0 bound pair is an (R) x (y) outer product.  APPROX_31 takes the
     one-sided segment alone for R < 0; every other case is the full wrap
     with its leg."""
-    k0 = rp.k0
     neg = bool(R_vals[0] < 0)
     segment, leg = ((_free_segment, _free_leg) if neg
                     else (_atom_segment, _atom_leg))
@@ -603,21 +612,17 @@ def _scan_region(rp: ReducedParams, R_vals: np.ndarray, y_vals: np.ndarray,
     ymax = float(np.max(ay))
     pref = _pref(rp)
 
-    if k0 > 0.0:
-        # quarter-wavelength initial panels for the worst sample of the grid
-        n_panels = int(min(6000, max(24, math.ceil(
-            math.sqrt(k0) * _phase_rate(rp, Rmax, ymax) * 2.0 / PI))))
-        spec = QuadratureSpec(Kind.FINITE, (0.0, math.sqrt(k0)))
-        m, em = _panel_sums(*_fixed_nodes(segment, spec, n_panels, rp),
-                            R_vals, ay, single)
-    else:
-        # at k0 = 0 the segment has zero width and its nodes would sit on
-        # the merged branch points, where the amplitudes are 0/0.  The
-        # free leg then grows like t^-1/2 at the origin (S+(it) ~
-        # sqrt(it/K)), so R < 0 rows still miss tol on fixed panels and
-        # go to the adaptive route; R > 0 rows stay here.
-        m = np.zeros((len(R_vals), len(y_vals)), dtype=np.complex128)
-        em = np.zeros(m.shape)
+    # quarter-wavelength initial panels for the worst sample of the grid.
+    # At k0 = 0 the segment is empty: its nodes would sit on the merged
+    # branch points, where the amplitudes are 0/0.  The free leg then
+    # grows like t^-1/2 at the origin (S+(it) ~ sqrt(it/K)), so R < 0 rows
+    # still miss tol on fixed panels and go to the adaptive route; R > 0
+    # rows stay here.
+    n_panels = int(min(6000, max(24, math.ceil(
+        math.sqrt(rp.k0) * _phase_rate(rp, Rmax, ymax) * 2.0 / PI))))
+    spec = QuadratureSpec(Kind.FINITE, (0.0, math.sqrt(rp.k0)))
+    m, em = _panel_sums(*_fixed_nodes(segment, spec, n_panels, rp),
+                        R_vals, ay, single)
     out = pref / (2 * PI) * m
     sc = abs(pref) / (2 * PI)
     err = sc * em
@@ -708,22 +713,24 @@ def scan_grid(R_values: Iterable[float], y_values: Iterable[float],
 # ----------------------------------------------------------------------
 
 def expected_displacement(R: float, rp: ReducedParams,
-                          y_cutoffs: Sequence[float],
-                          tol: float = 1e-6,
-                          return_components: bool = False):
+                          y_cutoffs: Sequence[float]):
     """Relative-displacement expectation with explicit cutoffs:
 
         Y_L = int_-L^L |y| |psi|^2 dy / int_-L^L |psi|^2 dy.
 
-    Returns [(L, Y_L), ...] so (non-)convergence in L is observable; no
-    claim of a finite limit is made for R < 0, where the numerator grows
-    essentially linearly in L.  |psi|^2 is sampled exactly (shared-panel
-    scan) up to y ~ 60 and via the stationary-phase tail beyond.  With
-    return_components=True each entry is (L, Y_L, numerator, denominator).
+    Returns [(L, Y_L, numerator, denominator), ...], one entry per cutoff,
+    so (non-)convergence in L is observable; no claim of a finite limit is
+    made for R < 0, where the numerator grows essentially linearly in L.
+    |psi|^2 is sampled exactly (shared-panel scan at tol 1e-6) up to
+    y ~ 60 and via the stationary-phase tail beyond.  The cutoffs must be
+    finite, positive and increasing, and at least one.
     """
     if R == 0.0:
         raise ValueError("R = 0 excluded")
     cutoffs = list(y_cutoffs)
+    if not cutoffs or not all(0.0 < c < math.inf for c in cutoffs):
+        raise ValueError("y_cutoffs must be one or more finite positive "
+                         f"cutoffs, got {cutoffs}")
     if any(c2 <= c1 for c1, c2 in zip(cutoffs, cutoffs[1:])):
         raise ValueError("cutoffs must be increasing")
     y_sw = min(60.0, cutoffs[-1])
@@ -731,7 +738,7 @@ def expected_displacement(R: float, rp: ReducedParams,
     n = int(max(64, math.ceil(y_sw * rp.k0 * 8 / PI)))
     n += n % 2
     ys = np.linspace(0.0, y_sw, n + 1)
-    grid = scan_grid([R], ys, rp, tol=tol)
+    grid = scan_grid([R], ys, rp, tol=1e-6)
     a2 = np.abs(grid.samples[0]) ** 2
     h = ys[1] - ys[0]
 
@@ -759,10 +766,7 @@ def expected_displacement(R: float, rp: ReducedParams,
             num += float(np.trapezoid(yt * at, yt))
             den += float(np.trapezoid(at, yt))
         Y = 2.0 * num / max(2.0 * den, 1e-300)
-        if return_components:
-            results.append((float(L), Y, 2.0 * num, 2.0 * den))
-        else:
-            results.append((float(L), Y))
+        results.append((float(L), Y, 2.0 * num, 2.0 * den))
     return results
 
 

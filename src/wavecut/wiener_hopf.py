@@ -73,10 +73,14 @@ def splus(k: complex, rp: ReducedParams) -> complex:
 
     Raises
     ------
+    ValueError
+        For non-finite k.
     ConfluenceError
         Within ~1e-12 K of either confluence point (use splus_at_K).
     """
     k = complex(k)
+    if not cmath.isfinite(k):
+        raise ValueError(f"S+ needs a finite k, got {k}")
     guard = 1e-12 * max(rp.K, 1.0)
     if abs(k - rp.K) < guard or abs(k + rp.K) < guard:
         raise ConfluenceError("confluence of singularities at k = +-K")
@@ -228,10 +232,8 @@ def j_axis(k: complex, rp: ReducedParams, tol: float = 1e-10):
         v0 = -(0.5 * k0) ** 0.25
     res = integrate(
         f,
-        QuadratureSpec(Kind.FINITE, (v0, 0.0), tol=ptol,
-                       oscillation_hint=4.0 * q),
-        QuadratureSpec(Kind.FINITE, (0.0, V), tol=ptol,
-                       oscillation_hint=V / 2),
+        QuadratureSpec(Kind.FINITE, (v0, 0.0), tol=ptol, panel_width=q),
+        QuadratureSpec(Kind.FINITE, (0.0, V), tol=ptol, panel_width=V / 8),
         QuadratureSpec(Kind.DECAYING_RAY, (V, 0.5 / V), tol=ptol))
     return (k / (PI * 1j) * (res.value + spike.value),
             ak * (res.err_est + spike.err_est) / PI,
@@ -295,7 +297,7 @@ def j_second_integral_check(k: complex, rp: ReducedParams) -> float:
         return np.log(u)
 
     res = integrate(f, QuadratureSpec(Kind.FINITE, (0.0, PI / 2), tol=1e-12,
-                                      oscillation_hint=PI / 16))
+                                      panel_width=PI / 64))
     c_eff = -1j * math.sqrt(-ksq.real) if neg_axis else cmath.sqrt(ksq)
     return abs(res.value - PI * cmath.log(1.0 + c_eff))
 
@@ -322,10 +324,10 @@ def appendix_b_closed(c: float, alpha: float) -> float:
     return (PI / 2.0) * math.log1p(s1) + t1.real + t2.real
 
 
-def appendix_b_quadrature(c: float, alpha: float, tol: float = 1e-11,
-                          X: float = 400.0) -> float:
+def appendix_b_quadrature(c: float, alpha: float) -> float:
     """Brute-force counterpart of appendix_b_closed (oracle): adaptive
-    quadrature on [0, X] plus the analytic large-x tail expansion
+    quadrature on [0, X], X = 400, plus the analytic large-x tail
+    expansion
 
         int_X^inf ~ (ln X + 1)/X + alpha/(2X^2) + ... + O(X^-5 ln X).
     """
@@ -333,8 +335,9 @@ def appendix_b_quadrature(c: float, alpha: float, tol: float = 1e-11,
     def f(x: np.ndarray) -> np.ndarray:
         return np.log(np.sqrt(x * x + c * c) + alpha) / (x * x + 1.0) + 0j
 
-    r1 = integrate(f, QuadratureSpec(Kind.FINITE, (0.0, X), tol=tol,
-                                     oscillation_hint=X / 64.0))
+    X = 400.0
+    r1 = integrate(f, QuadratureSpec(Kind.FINITE, (0.0, X), tol=1e-11,
+                                     panel_width=X / 256))
     lX = math.log(X)
     tail = ((lX + 1.0) / X
             + alpha / (2.0 * X * X)
@@ -344,7 +347,7 @@ def appendix_b_quadrature(c: float, alpha: float, tol: float = 1e-11,
     return r1.value.real + tail
 
 
-def b3_identity_check(a_b: float, b: float, tol: float = 1e-11) -> float:
+def b3_identity_check(a_b: float, b: float) -> float:
     """Residual of the arctangent-integral identity
 
         int_0^b arctan(sqrt(x^2+1-a^2)/a)/sqrt(x^2+1-a^2) dx
@@ -363,7 +366,8 @@ def b3_identity_check(a_b: float, b: float, tol: float = 1e-11) -> float:
         r = np.sqrt(x * x + 1.0 - a_b * a_b)
         return np.arctan(r / a_b) / r + 0j
 
-    lhs = integrate(f, QuadratureSpec(Kind.FINITE, (0.0, b), tol=tol)).value.real
+    lhs = integrate(f, QuadratureSpec(Kind.FINITE, (0.0, b),
+                                      tol=1e-11)).value.real
     rb = math.sqrt(b * b + 1.0 - a_b * a_b)
     rhs = (ti2(complex((rb + b) / (1.0 + a_b))).real
            - ti2(complex((rb - b) / (1.0 + a_b))).real)

@@ -185,8 +185,7 @@ def test_criterion_09_steepest_descent(capsys):
 
 def test_criterion_10_displacement_divergence(capsys):
     t0 = time.time()
-    res = expected_displacement(-10.0, RP, [100.0, 1000.0, 10000.0],
-                                return_components=True)
+    res = expected_displacement(-10.0, RP, [100.0, 1000.0, 10000.0])
     nums = [n for _, _, n, _ in res]
     assert nums[0] < nums[1] < nums[2]
     ratio = nums[2] / nums[1]

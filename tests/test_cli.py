@@ -67,6 +67,20 @@ def test_parse_grid_errors():
         parse_grid("a:b:c")
     with pytest.raises(UsageError):
         parse_grid("0:1:0")
+    for text in ("nan:-50:3", "10:inf:2", "-inf:0:2", "0:nan:1"):
+        with pytest.raises(UsageError, match="finite"):
+            parse_grid(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["asymptotics", "--law", "far32", "--R", "nan:-50:3", "--y", "0:1:2"],
+    ["asymptotics", "--law", "sd35", "--R", "10:inf:2", "--y", "0:1:2"],
+    ["factor", "--k-grid", "im:nan:1:2"],
+], ids=["far32-R-nan", "sd35-R-inf", "factor-k-nan"])
+def test_non_finite_grid_end_is_a_usage_error(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_factor_at_K(tmp_path, capsys):

@@ -61,7 +61,7 @@ def test_oscillatory_vs_romberg_oracle():
 
     oracle = _romberg_oracle(f, 0.0, 10.0)
     spec = QuadratureSpec(Kind.FINITE, (0.0, 10.0), tol=1e-12,
-                          oscillation_hint=2.0 * math.pi / 50.0)
+                          panel_width=2.0 * math.pi / 200.0)
     res = integrate(f, spec)
     assert abs(res.value - oracle) < 1e-10
     assert res.converged
@@ -71,9 +71,9 @@ def test_initial_panel_halving_invariance():
     def f(x):
         return np.exp(50j * x) / (x * x + 1.0)
 
-    # hints 0.2 and 0.4 start from 200 and 100 panels on (0, 10)
+    # widths 0.05 and 0.1 start from 200 and 100 panels on (0, 10)
     s1, s2 = (QuadratureSpec(Kind.FINITE, (0.0, 10.0), tol=1e-11,
-                             oscillation_hint=h) for h in (0.2, 0.4))
+                             panel_width=w) for w in (0.05, 0.1))
     r1 = integrate(f, s1)
     r2 = integrate(f, s2)
     assert abs(r1.value - r2.value) <= 2.0 * s1.tol
@@ -385,6 +385,28 @@ def test_integrate_golden(golden_cases, name):
             res.converged, g.calls) == _GOLDEN[name]
 
 
+@pytest.mark.parametrize("kind, ends, width, n", [
+    (Kind.FINITE, (0.0, 10.0), 0.3, 34),          # ceil(10 / 0.3)
+    (Kind.FINITE, (2.0, -1.0), 0.5, 6),           # |span| / width exactly
+    (Kind.FINITE, (0.0, 1.0), 5.0, 2),            # at least 2
+    (Kind.FINITE, (0.0, 1.0), 1e-6, 16384),       # at most 16384
+    (Kind.FINITE, (0.0, 1.0), None, 8),           # no width
+    (Kind.DECAYING_RAY, (1.0, 0.7), 3.0, 15),     # ceil((30 / 0.7) / 3)
+    (Kind.DECAYING_RAY, (0.0, 2.0), 100.0, 2),
+    (Kind.DECAYING_RAY, (0.0, 1e-3), 1e-2, 16384),
+    (Kind.DECAYING_RAY, (0.0, 2.0), None, 8),
+])
+def test_panel_width_sets_initial_panels(kind, ends, width, n):
+    # panel_width is the cap itself: ceil(span / panel_width) panels in x
+    # (30 decay lengths on a ray), clamped to [2, 16384], 8 without it
+    from wavecut.quadrature import _panel_edges
+
+    spec = QuadratureSpec(kind, ends, panel_width=width, tol=1.0)
+    assert len(_panel_edges(spec)) == n + 1
+    # a loose tol stops integrate after its initial panels
+    assert integrate(lambda x: np.exp(-x) + 0j, spec).evaluations == 15 * n
+
+
 def test_panel_edges_equal_linspace():
     # the panel layout is np.linspace's, bit for bit, on either kind
     from wavecut.quadrature import _panel_edges
@@ -395,9 +417,9 @@ def test_panel_edges_equal_linspace():
         n = int(rng.integers(1, 5000))
         edges = _panel_edges(QuadratureSpec(Kind.FINITE, (a, b)), n)
         assert edges.tobytes() == np.linspace(a, b, n + 1).tobytes()
-    for hint in (None, 0.05, 3.0):
+    for width in (None, 0.0125, 0.75):
         spec = QuadratureSpec(Kind.DECAYING_RAY, (1.0, 0.7),
-                              oscillation_hint=hint)
+                              panel_width=width)
         edges = _panel_edges(spec)
         assert edges.tobytes() == \
             np.linspace(0.0, 1.0 - 1e-6, len(edges)).tobytes()

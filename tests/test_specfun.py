@@ -28,7 +28,7 @@ def test_dilog_derived_path_quadrature():
     # frozen from the independent Simpson path quadrature of -ln(1-u)/u
     z = 0.3 + 0.4j
     frozen = 0.26659686674274125 + 0.46136289181911067j
-    assert abs(specfun.dilog_quadrature_reference(z, 20000) - frozen) < 1e-12
+    assert abs(specfun.dilog_quadrature_reference(z) - frozen) < 1e-12
     assert abs(dilog(z) - frozen) < 1e-13
 
 
@@ -172,7 +172,7 @@ def test_ti2_trivial_values():
 def test_ti2_derived_path_quadrature():
     z = (2.0 + 1.0j) / math.sqrt(5.0)
     frozen = 0.8612243718072629 + 0.3641479805728515j
-    assert abs(specfun.ti2_quadrature_reference(z, 20000) - frozen) < 1e-12
+    assert abs(specfun.ti2_quadrature_reference(z) - frozen) < 1e-12
     assert abs(ti2(z) - frozen) < 1e-12
 
 
@@ -203,7 +203,7 @@ def test_im_ti2_imaginary_argument():
     # Ti2(i v) = i * integral_0^v artanh(t)/t dt: nonzero imaginary part
     frozen = 0.5153273666943293
     assert im_ti2(0.5j) == pytest.approx(frozen, abs=1e-12)
-    assert abs(specfun.ti2_quadrature_reference(0.5j, 20000).imag
+    assert abs(specfun.ti2_quadrature_reference(0.5j).imag
                - frozen) < 1e-12
 
 

@@ -422,7 +422,7 @@ def test_tail_saddle_matches_exact():
 
 def test_expected_displacement_free_region_grows():
     res = expected_displacement(-10.0, RP, [100.0, 1000.0, 10000.0])
-    Ys = [y for _, y in res]
+    Ys = [Y for _, Y, _, _ in res]
     assert Ys[0] < Ys[1] < Ys[2]
     assert Ys[2] / Ys[1] > 1.5  # no sign of saturation
 
@@ -440,7 +440,7 @@ def test_expected_displacement_atom_region_bound_plateau():
     # (|psi|^2 ~ 1/y, the same outgoing wave as in the free region)
     # takes over at larger L and Y_L grows again
     res = expected_displacement(5.0, RP, [10.0, 100.0, 1000.0])
-    y10, y100, y1000 = (v for _, v in res)
+    y10, y100, y1000 = (Y for _, Y, _, _ in res)
     assert y10 == pytest.approx(1.0 / (2.0 * RP.a), rel=0.2)
     assert y10 < y100 < y1000
 
@@ -450,6 +450,17 @@ def test_expected_displacement_validation():
         expected_displacement(0.0, RP, [10.0])
     with pytest.raises(ValueError):
         expected_displacement(-5.0, RP, [10.0, 5.0])
+    for cutoffs in ([], [0.0], [-1.0, 10.0], [10.0, math.inf], [math.nan]):
+        with pytest.raises(ValueError, match="cutoff"):
+            expected_displacement(-5.0, RP, cutoffs)
+
+
+@pytest.mark.parametrize("R", [-5.0, 5.0])
+def test_tail_saddle_rejects_saddle_on_branch_point(R):
+    # at |y| << |R| the saddle x* = -k0 R/rho rounds onto x = +-k0
+    # (1 + R/rho = 0 for R < 0, a 0/0 amplitude for R > 0)
+    with pytest.raises(ValueError, match="branch point"):
+        psi_tail_saddle(R, 1e-8, RP)
 
 
 def test_tail_exponent_window():
@@ -574,9 +585,22 @@ NAN, INF = float("nan"), float("inf")
     (psi_unified, NAN, 0.0, {}),
     (psi_unified, -1.0, 0.0, {"tol": NAN}),
     (psi_unified, -1.0, 0.0, {"eps": NAN}),
+    (far_field, NAN, 0.0, {}),
+    (far_field, -50.0, INF, {}),
+    (steepest_descent, INF, 0.0, {}),
+    (steepest_descent, 5.0, NAN, {}),
+    (psi_tail_saddle, NAN, 2.0, {}),
+    (psi_tail_saddle, -5.0, -INF, {}),
+    (lambda R, y, rp: wf.asymptotic_phases(rp, y), 1.0, NAN, {}),
+    (lambda R, y, rp: wh.splus(complex(R, y), rp), NAN, 0.5, {}),
+    (lambda R, y, rp: wh.splus(complex(R, y), rp), 1.0, INF, {}),
+    (lambda R, y, rp: wh.sigma_plus(complex(R, y), rp), NAN, 0.0, {}),
 ], ids=["free-y-nan", "free-R-nan", "free-tol-nan", "free-R-minus-inf",
         "approx31-y-inf", "atom-R-inf", "atom-tol-zero", "phi-y-nan",
-        "unified-R-nan", "unified-tol-nan", "unified-eps-nan"])
+        "unified-R-nan", "unified-tol-nan", "unified-eps-nan",
+        "far-R-nan", "far-y-inf", "sd-R-inf", "sd-y-nan", "saddle-R-nan",
+        "saddle-y-minus-inf", "phases-xi-nan", "splus-re-nan",
+        "splus-im-inf", "sigma-plus-re-nan"])
 def test_pointwise_routes_reject_invalid_input(route, R, y, kw):
     with pytest.raises(ValueError, match="finite|positive"):
         route(R, y, RP, **kw)
