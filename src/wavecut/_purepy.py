@@ -1,11 +1,12 @@
 """NumPy implementations of the numerical hot kernels.
 
-These are the routines that dominate runtime (complex dilogarithm, the
-Wiener-Hopf plus factor, branched square roots), vectorized over 1-D
+These are the two routines that dominate runtime, the complex
+dilogarithm and the Wiener-Hopf plus factor, vectorized over 1-D
 complex128 arrays.  They are the only implementation; the rest of the
-package calls them through ``wavecut._backend``.  ``splus`` and ``ti2``
-reach ``dilog`` through this module's global name, so patching
-``_purepy.dilog`` also sees the dilogarithms inside ``S+``.
+package calls them through ``wavecut._backend`` (``specfun.ti2`` is two
+``dilog`` calls there).  ``splus`` reaches ``dilog`` through this
+module's global name, so patching ``_purepy.dilog`` also sees the
+dilogarithms inside ``S+``.
 
 Dilogarithm: the Bernoulli series in u = -ln(1 - v),
 
@@ -128,33 +129,20 @@ def dilog(z: np.ndarray) -> np.ndarray:
     return np.where(m_dir, b, rest - b)
 
 
-def ti2(z: np.ndarray) -> np.ndarray:
-    """Arctangent integral Ti2(z) = [Li2(iz) - Li2(-iz)] / (2i), 1-D array."""
-    z = np.ascontiguousarray(z, dtype=np.complex128)
-    return (dilog(1j * z) - dilog(-1j * z)) / 2j
-
-
-def wsqrt(k: np.ndarray, k0: complex) -> np.ndarray:
-    """Branched root sqrt(k^2 - k0^2) continuous in the closed upper half
-    plane: principal sqrt(k - k0) * sqrt(k + k0)."""
-    k = np.ascontiguousarray(k, dtype=np.complex128)
-    return np.sqrt(k - k0) * np.sqrt(k + k0)
-
-
 def splus(k: np.ndarray, a: complex, k0: complex, K: complex) -> np.ndarray:
     """Wiener-Hopf plus factor of the modified kernel on a 1-D array.
 
     S+(k) = sqrt((k+k0)/(k+K)) * exp[-(Ti2(z+) - Ti2(z-)) / pi],
-    z+- = (i w(k) +- i a)/(K + k).  The exponent is even in w, so either
-    branch of the inner root gives the same value.  The four dilogarithms
-    of the two Ti2 go into one ``dilog`` call per block of
-    ``_SPLUS_BLOCK`` points.
+    z+- = (i w(k) +- i a)/(K + k), w = sqrt(k - k0) sqrt(k + k0) on
+    principal roots.  The exponent is even in w, so either branch of the
+    inner root gives the same value.  The four dilogarithms of the two
+    Ti2 go into one ``dilog`` call per block of ``_SPLUS_BLOCK`` points.
     """
     k = np.ascontiguousarray(k, dtype=np.complex128)
     out = np.empty_like(k)
     for s in range(0, k.size, _SPLUS_BLOCK):
         kb = k[s:s + _SPLUS_BLOCK]
-        w = wsqrt(kb, k0)
+        w = np.sqrt(kb - k0) * np.sqrt(kb + k0)
         denom = K + kb
         zp = 1j * (w + a) / denom
         zm = 1j * (w - a) / denom

@@ -72,7 +72,7 @@ def ti2(z, side: int | None = None):
     if oncut.any() and side is None:
         raise CutSideError(
             "Ti2 argument on the imaginary-axis cut; pass side=+1 or -1")
-    out = _backend.ti2(arr)
+    out = (_backend.dilog(1j * arr) - _backend.dilog(-1j * arr)) / 2j
     if oncut.any():
         out[oncut] = [_ti2_oncut(complex(zz), side) for zz in arr[oncut]]
     if scalar:
@@ -82,23 +82,18 @@ def ti2(z, side: int | None = None):
 
 def _ti2_oncut(z: complex, side: int) -> complex:
     # inversion pushes the argument off the cut: for Re z > 0,
-    # Ti2(z) = (pi/2) Log z + Ti2(1/z); side < 0 follows by oddness
-    v = z.imag
-    if v > 0:
-        if side > 0:
-            return (PI / 2) * complex(math.log(v), PI / 2) + ti2(1.0 / z)
-        return -_ti2_oncut(-z, +1)
+    # Ti2(z) = (pi/2) Log z + Ti2(1/z); side < 0 follows by oddness.  Log
+    # of the imaginary z = iv is ln|v| + i sign(v) pi/2 (cmath.log would
+    # round ln|v| differently for |v| < 1.73)
     if side > 0:
-        return (PI / 2) * complex(math.log(-v), -PI / 2) + ti2(1.0 / z)
+        log_z = complex(math.log(abs(z.imag)), math.copysign(PI / 2, z.imag))
+        return (PI / 2) * log_z + ti2(1.0 / z)
     return -_ti2_oncut(-z, +1)
 
 
 def im_ti2(z, side: int | None = None):
     """Imaginary part of ti2(z); the phase function of the closed forms."""
-    val = ti2(z, side=side)
-    if np.ndim(val) == 0:
-        return val.imag
-    return np.imag(val)
+    return ti2(z, side=side).imag
 
 
 # highest power of z in the series references (0.75^400 is far below an

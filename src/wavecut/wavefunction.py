@@ -599,9 +599,10 @@ def _scan_region(rp: ReducedParams, R_vals: np.ndarray, y_vals: np.ndarray,
     piece nodes and amplitudes once per grid, then per bounded block of
     panels e^{zR} once per (R, node), the transverse factor once per
     (y, node) and the panel sums as matrix products (_panel_sums); the
-    R > 0 bound pair is an (R) x (y) outer product.  APPROX_31 takes the
-    one-sided segment alone for R < 0; every other case is the full wrap
-    with its leg."""
+    R > 0 bound pair is an (R) x (y) outer product.  For R < 0, APPROX_31
+    takes the one-sided segment alone and REGIONAL reports the leg in err
+    instead of adding it, as _contour does; every other case is the full
+    wrap with its leg."""
     neg = bool(R_vals[0] < 0)
     segment, leg = ((_free_segment, _free_leg) if neg
                     else (_atom_segment, _atom_leg))
@@ -633,8 +634,11 @@ def _scan_region(rp: ReducedParams, R_vals: np.ndarray, y_vals: np.ndarray,
         n_ray = int(min(3000, max(24, math.ceil(phase_ray * 2.0 / PI))))
         spec = QuadratureSpec(Kind.DECAYING_RAY, (0.0, 1.0))
         lv, el = _panel_sums(*_fixed_nodes(leg, spec, n_ray, rp), R_vals, ay)
-        out += -1j * pref / (2 * PI) * lv
-        err += sc * el
+        if neg and method is Method.REGIONAL:
+            err += sc * np.abs(lv)  # neglected leg, reported, not added
+        else:
+            out += -1j * pref / (2 * PI) * lv
+            err += sc * el
     if not neg:
         sK = splus_at_K(rp)
         pair_R = np.array([_bound_pair(R, 0.0, rp, sK) for R in R_vals])
@@ -647,19 +651,18 @@ def scan_grid(R_values: Iterable[float], y_values: Iterable[float],
               method: Method = Method.REGIONAL_WITH_VERTICAL_LEG) -> WaveGrid:
     """Evaluate psi on the product grid R_values x y_values.
 
-    Uses fixed shared quadrature panels with the embedded-pair error
-    estimate per sample: the plus-factor values once per grid, e^{zR} once
-    per (R, node) and the transverse factor once per (y, node), with the
-    panel sums taken as matrix products over blocks of panels whose
-    temporaries stay below a fixed size.  Samples whose estimate exceeds
-    tol are re-evaluated adaptively; each call that does so logs one INFO
-    record counting them.  REGIONAL samples with R < 0 are evaluated
-    adaptively from the start: the neglected leg they report in err_est
-    exceeds any useful tol, so fixed panels would only be redone.  R = 0
-    is excluded, R and y must be finite and tol positive.  Deterministic:
-    fixed panel layout, block size and summation order.
-
-    UNIFIED_A7 evaluates every sample with psi_unified_extrapolated.
+    Every method but UNIFIED_A7 first takes each sign of R on fixed
+    shared quadrature panels (_scan_region), with the embedded-pair error
+    estimate per sample.  Samples whose estimate exceeds tol, and every
+    UNIFIED_A7 sample, are then evaluated pointwise by their route
+    (psi_atom, psi_free, psi_approx31 or psi_unified_extrapolated); each
+    call that does so logs one INFO record counting them.  One rule holds
+    for every sample: it is converged when its route converged and its
+    err_est is within tol.  REGIONAL reports the neglected leg of R < 0
+    samples in err_est, as psi_free does, so at any useful tol they go
+    pointwise.  R = 0 is excluded, R and y must be finite and tol
+    positive.  Deterministic: fixed panel layout, block size and summation
+    order.
     """
     R_vals = np.asarray(sorted(set(float(r) for r in R_values)))
     y_vals = np.asarray(sorted(set(float(v) for v in y_values)))
@@ -669,33 +672,23 @@ def scan_grid(R_values: Iterable[float], y_values: Iterable[float],
     if np.any(R_vals == 0.0):
         raise ValueError("R = 0 is excluded (region boundary)")
     out = np.empty((len(R_vals), len(y_vals)), dtype=np.complex128)
-    if method is Method.UNIFIED_A7:
-        err = np.empty(out.shape)
-        conv = np.empty(out.shape, dtype=bool)
-        for i, R in enumerate(R_vals):
-            for j, y in enumerate(y_vals):
-                s = psi_unified_extrapolated(float(R), float(y), rp, tol=tol)
-                out[i, j], err[i, j], conv[i, j] = s.psi, s.err_est, s.converged
-        return WaveGrid(R_vals, y_vals, out, method, err, conv)
-
-    err = np.full(out.shape, np.inf)  # rows left at inf go pointwise
-    regions = [R_vals > 0]
-    if method is not Method.REGIONAL:
-        regions.append(R_vals < 0)
-    for mask in regions:
-        if mask.any():
-            out[mask], err[mask] = _scan_region(rp, R_vals[mask], y_vals,
-                                                method)
+    err = np.full(out.shape, np.inf)  # samples left at inf go pointwise
+    if method is not Method.UNIFIED_A7:
+        for mask in (R_vals > 0, R_vals < 0):
+            if mask.any():
+                out[mask], err[mask] = _scan_region(rp, R_vals[mask], y_vals,
+                                                    method)
     conv = err <= tol
-    # adaptive evaluation of the stragglers and the REGIONAL R < 0 rows
     redo = np.nonzero(~conv)
     if len(redo[0]):
-        _log.info("scan_grid: %d of %d samples re-evaluated adaptively "
+        _log.info("scan_grid: %d of %d samples evaluated pointwise "
                   "(method %s, tol %g)", len(redo[0]), out.size,
                   method.value, tol)
     for i, j in zip(*redo):
         R, y = float(R_vals[i]), float(y_vals[j])
-        if R > 0:
+        if method is Method.UNIFIED_A7:
+            s = psi_unified_extrapolated(R, y, rp, tol)
+        elif R > 0:
             s = psi_atom(R, y, rp, tol)
         elif method is Method.APPROX_31:
             s = psi_approx31(R, y, rp, tol)

@@ -178,7 +178,8 @@ def sigma_plus(k: complex, rp: ReducedParams) -> complex:
 def j_axis(k: complex, rp: ReducedParams, tol: float = 1e-10):
     """J(k) = (k/(pi i)) int_0^inf Log[1 + a/w(u)] du/(u^2-k^2) along the
     real axis, w(u) = -i sqrt(k0^2-u^2) on the gap (0, k0); valid for any
-    Im k > 0.  Returns (value, err_est, evaluations, converged).
+    Im k > 0.  Returns a QuadResult for J: its value, err_est,
+    evaluations and converged flag.
 
     One variable v carries the whole axis: u = k0 - v^4 on the gap
     (v < 0) and u = k0 + v^4 beyond it (v > 0), so |u^2 - k0^2| =
@@ -196,8 +197,10 @@ def j_axis(k: complex, rp: ReducedParams, tol: float = 1e-10):
     at u = |k| and 10|k|.  The returned err_est is |k|/pi times the
     summed estimate, and each of the n pieces (3, or 6 with the spike)
     gets tol pi/(n|k|), so converged means err_est <= tol on J itself.
-    Raises ValueError unless Im k > 0.
+    Raises ValueError for a non-finite k and unless Im k > 0.
     """
+    if not cmath.isfinite(k):
+        raise ValueError(f"j_axis needs a finite k, got {k}")
     if not k.imag > 0.0:
         raise ValueError("j_axis requires Im k > 0")
     a, k0 = rp.a, rp.k0
@@ -235,10 +238,10 @@ def j_axis(k: complex, rp: ReducedParams, tol: float = 1e-10):
         QuadratureSpec(Kind.FINITE, (v0, 0.0), tol=ptol, panel_width=q),
         QuadratureSpec(Kind.FINITE, (0.0, V), tol=ptol, panel_width=V / 8),
         QuadratureSpec(Kind.DECAYING_RAY, (V, 0.5 / V), tol=ptol))
-    return (k / (PI * 1j) * (res.value + spike.value),
-            ak * (res.err_est + spike.err_est) / PI,
-            res.evaluations + spike.evaluations,
-            res.converged and spike.converged)
+    return QuadResult(k / (PI * 1j) * (res.value + spike.value),
+                      ak * (res.err_est + spike.err_est) / PI,
+                      res.evaluations + spike.evaluations,
+                      res.converged and spike.converged)
 
 
 def j_direct(k: complex, rp: ReducedParams, tol: float = 1e-9) -> complex:
@@ -248,14 +251,16 @@ def j_direct(k: complex, rp: ReducedParams, tol: float = 1e-9) -> complex:
     Real k is the limit from above, from steps delta and 2 delta and one
     Richardson step; J ~ -Log(k + k0)/2 near -k0, so delta shrinks with
     |k + k0|.  tol bounds the error estimate of J itself in each j_axis
-    call.  Raises ValueError for Im k < 0 and at k = -k0, and
-    ArithmeticError when the quadrature fails with err_est above 100 tol,
-    e.g. on real k so close to -k0 that the pole u = -k pinches the branch
-    point u = k0.  A quadrature that stops short of tol but within that
-    slack (real k at tight tol) returns its value and logs one WARNING on
-    this module's logger per j_axis call.
+    call.  Raises ValueError for a non-finite k, for Im k < 0 and at
+    k = -k0, and ArithmeticError when the quadrature fails with err_est
+    above 100 tol, e.g. on real k so close to -k0 that the pole u = -k
+    pinches the branch point u = k0.  A quadrature that stops short of
+    tol but within that slack (real k at tight tol) returns its value and
+    logs one WARNING on this module's logger per j_axis call.
     """
     k = complex(k)
+    if not cmath.isfinite(k):
+        raise ValueError(f"j_direct needs a finite k, got {k}")
     if k.imag < 0.0:
         raise ValueError("j_direct requires Im k >= 0")
     if k == -rp.k0:
@@ -265,15 +270,15 @@ def j_direct(k: complex, rp: ReducedParams, tol: float = 1e-9) -> complex:
         v1 = j_direct(complex(k.real, d), rp, tol)
         v2 = j_direct(complex(k.real, 2 * d), rp, tol)
         return 2.0 * v1 - v2
-    value, err, _, ok = j_axis(k, rp, tol)
-    if not ok:
-        if err > 100.0 * tol:
-            raise ArithmeticError(
-                f"J({k}) quadrature did not converge: err_est={err:.2e}")
+    res = j_axis(k, rp, tol)
+    if not res.converged:
+        if res.err_est > 100.0 * tol:
+            raise ArithmeticError(f"J({k}) quadrature did not converge: "
+                                  f"err_est={res.err_est:.2e}")
         _log.warning("j_direct: J(%s) quadrature stopped unconverged, "
                      "accepted within 100 tol (err_est %.2e, tol %g)",
-                     k, err, tol)
-    return value
+                     k, res.err_est, tol)
+    return res.value
 
 
 def j_second_integral_check(k: complex, rp: ReducedParams) -> float:
@@ -283,7 +288,11 @@ def j_second_integral_check(k: complex, rp: ReducedParams) -> float:
     This is the alpha = 0 case of the Appendix B log integral
     (appendix_b_closed) at complex c, which the closed form there covers
     only for real c >= 1.  Real negative (k0/k)^2 (Re k = 0) is taken as
-    the limit from Im k > 0."""
+    the limit from Im k > 0.  Raises ValueError unless k is finite and
+    nonzero."""
+    if not (cmath.isfinite(k) and k != 0):
+        raise ValueError(f"the J second-integral check needs a finite "
+                         f"nonzero k, got {k}")
     ksq = (rp.k0 / k) ** 2
     neg_axis = ksq.imag == 0.0 and ksq.real < 0.0
 
@@ -306,6 +315,12 @@ def j_second_integral_check(k: complex, rp: ReducedParams) -> float:
 # closed-form integral identities behind the plus factor
 # ----------------------------------------------------------------------
 
+def _check_finite_c_alpha(c: float, alpha: float) -> None:
+    for name, v in (("c", c), ("alpha", alpha)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
 def appendix_b_closed(c: float, alpha: float) -> float:
     """Closed form of int_0^inf Log[sqrt(x^2+c^2) + alpha]/(x^2+1) dx:
 
@@ -313,8 +328,9 @@ def appendix_b_closed(c: float, alpha: float) -> float:
         + Ti2[(sqrt(c^2-1)+alpha)/(sqrt(c^2-alpha^2)+1)]
         + Ti2[(alpha-sqrt(c^2-1))/(1+sqrt(c^2-alpha^2))]
 
-    Real domain: c >= 1 and c^2 >= alpha^2.
+    Real domain: finite c >= 1 and alpha with c^2 >= alpha^2.
     """
+    _check_finite_c_alpha(c, alpha)
     if c < 1.0 or c * c < alpha * alpha:
         raise ValueError("closed form requires c >= 1 and |alpha| <= c")
     s1 = math.sqrt(c * c - alpha * alpha)
@@ -330,7 +346,14 @@ def appendix_b_quadrature(c: float, alpha: float) -> float:
     expansion
 
         int_X^inf ~ (ln X + 1)/X + alpha/(2X^2) + ... + O(X^-5 ln X).
+
+    Domain: finite c and alpha with alpha > -|c|, so that the logarithm's
+    argument sqrt(x^2+c^2) + alpha stays positive.
     """
+    _check_finite_c_alpha(c, alpha)
+    if not alpha > -abs(c):
+        raise ValueError(f"the quadrature requires alpha > -|c|, got "
+                         f"alpha = {alpha}, c = {c}")
 
     def f(x: np.ndarray) -> np.ndarray:
         return np.log(np.sqrt(x * x + c * c) + alpha) / (x * x + 1.0) + 0j

@@ -209,11 +209,14 @@ def test_wavefunction_noleg_reports_leg(tmp_path):
 
 
 def test_wavefunction_unified_method(tmp_path):
+    # the eps ladder's err_est (5.9e-5 and 4.6e-5 here) exceeds the
+    # default tol 1e-6, so no sample is converged and the run exits 3
     rc = main(["wavefunction", "--R", "-3:-3:1", "--y", "0:1:2",
                "--method", "unified", "--out", str(tmp_path)])
-    assert rc == 0
+    assert rc == 3
     _, rows = read_csv(tmp_path / "wavefunction.csv")
     assert rows[0][6] == "unified_a7"
+    assert [r[7] for r in rows] == ["false", "false"]
     # agrees with the regional route
     rc = main(["wavefunction", "--R", "-3:-3:1", "--y", "0:1:2",
                "--method", "regional", "--format", "json",
@@ -223,6 +226,12 @@ def test_wavefunction_unified_method(tmp_path):
     uni = complex(float(rows[0][2]), float(rows[0][3]))
     reg = complex(doc["columns"]["re_psi"][0], doc["columns"]["im_psi"][0])
     assert abs(uni - reg) / abs(reg) < 1e-4
+    rc = main(["wavefunction", "--R", "-3:-3:1", "--y", "0:1:2",
+               "--method", "unified", "--tol", "1e-4", "--out",
+               str(tmp_path)])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "wavefunction.csv")
+    assert [r[7] for r in rows] == ["true", "true"]
 
 
 def test_json_output_schema(tmp_path):

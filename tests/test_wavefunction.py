@@ -546,10 +546,44 @@ def test_scan_grid_logs_fallbacks(caplog):
     caplog.set_level(logging.INFO, logger="wavecut.wavefunction")
     scan_grid([-2.0, 1.0], [0.0, 1.0], RP, tol=1e-6)
     assert not caplog.records
-    # REGIONAL R < 0 samples always go adaptive; the R > 0 row does not
+    # the neglected leg of REGIONAL R < 0 samples exceeds this tol, so
+    # they go pointwise; the R > 0 row does not
     scan_grid([-2.0, 1.0], [0.0, 1.0], RP, tol=1e-6, method=Method.REGIONAL)
     assert len(caplog.records) == 1
-    assert "2 of 4 samples" in caplog.records[0].getMessage()
+    assert ("2 of 4 samples evaluated pointwise"
+            in caplog.records[0].getMessage())
+
+
+def test_regional_grid_keeps_fixed_panels_at_loose_tol(caplog):
+    # at tol 0.1 the neglected leg fits in tol: REGIONAL R < 0 samples
+    # stay on the fixed panels, where it is reported as psi_free reports
+    # it, and agree with psi_free within err_est
+    caplog.set_level(logging.INFO, logger="wavecut.wavefunction")
+    g = scan_grid([-5.0, -3.0], [0.0, 1.0, 2.0], RP, tol=0.1,
+                  method=Method.REGIONAL)
+    assert not caplog.records
+    assert g.converged.all()
+    for i, R in enumerate(g.R_values):
+        for j, y in enumerate(g.y_values):
+            s = psi_free(float(R), float(y), RP, tol=0.1,
+                         include_vertical_leg=False)
+            assert abs(g.samples[i, j] - s.psi) <= g.err[i, j]
+            assert g.converged[i, j] == s.converged
+
+
+def test_unified_grid_converged_only_within_tol(caplog):
+    # the eps ladder's err_est at (1, 2) is 1e-5 to 1e-4: above the
+    # default tol, so a unified sample is not converged even though its
+    # route converged, on the rule every grid method follows
+    caplog.set_level(logging.INFO, logger="wavecut.wavefunction")
+    g = scan_grid([-3.0], [0.0, 1.0], RP, tol=1e-6, method=Method.UNIFIED_A7)
+    assert "2 of 2 samples evaluated pointwise" in caplog.text
+    assert g.err[0] == pytest.approx([5.9e-5, 4.6e-5], rel=0.02)
+    assert not g.converged.any()
+    for j, y in enumerate(g.y_values):
+        s = psi_unified_extrapolated(-3.0, float(y), RP, tol=1e-6)
+        assert s.converged
+        assert (g.samples[0, j], g.err[0, j]) == (s.psi, s.err_est)
 
 
 def test_scan_grid_rejects_boundary():

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from wavecut import _backend, _purepy
 from wavecut import wiener_hopf as wh
 from wavecut.model import ReducedParams
+from wavecut.quadrature import QuadResult
 from wavecut.specfun import dilog
 
 RP = ReducedParams.from_a_k0(1.0, 2.0)
 K = RP.K
+NAN, INF = float("nan"), float("inf")
 
 
 def test_j_vanishes_far_up():
@@ -133,19 +135,19 @@ def test_j_axis_refines_until_its_floor_fits_in_tol():
     # goes on until the two together fit, the rule converged is judged by
     rp = ReducedParams.from_a_k0(1.895274163524686, 1.463629551289868)
     k = -1.4052530324709698 + 0.11325322419008921j
-    value, err, _, ok = wh.j_axis(k, rp, tol=1e-9)
-    assert ok
-    assert abs(value + cmath.log(wh.splus(k, rp))) <= err <= 1e-9
+    res = wh.j_axis(k, rp, tol=1e-9)
+    assert res.converged
+    assert abs(res.value + cmath.log(wh.splus(k, rp))) <= res.err_est <= 1e-9
 
 
 @pytest.mark.parametrize("k", [1e-8j, 1e-6j, 1e-4j, 1e-6 + 1e-8j])
 def test_j_oracle_err_est_bounds_gap_at_small_k(k):
     # at |k| << k0 the poles u = +-k make a spike of width |k| at the
     # gap's end u = 0: its panels must see it, or err_est is too small
-    value, err, _, ok = wh.j_axis(k, RP, tol=1e-9)
-    gap = abs(value + cmath.log(wh.splus(k, RP)))
-    assert ok
-    assert gap <= err
+    res = wh.j_axis(k, RP, tol=1e-9)
+    gap = abs(res.value + cmath.log(wh.splus(k, RP)))
+    assert res.converged
+    assert gap <= res.err_est
 
 
 @pytest.mark.xfail(strict=True, reason="known defect: a pole of width "
@@ -154,15 +156,25 @@ def test_j_oracle_err_est_bounds_gap_at_small_k(k):
                    "gap of 6.2e-10")
 def test_j_oracle_err_est_bounds_gap_near_pole_off_zero():
     # the pole u = k sits 1e-8 above the axis at u = 1, inside the gap
-    value, err, _, ok = wh.j_axis(1.0 + 1e-8j, RP, tol=1e-9)
-    gap = abs(value + cmath.log(wh.splus(1.0 + 1e-8j, RP)))
-    assert ok
-    assert gap <= err
+    res = wh.j_axis(1.0 + 1e-8j, RP, tol=1e-9)
+    gap = abs(res.value + cmath.log(wh.splus(1.0 + 1e-8j, RP)))
+    assert res.converged
+    assert gap <= res.err_est
 
 
 def test_j_rejects_lower_half_plane():
     with pytest.raises(ValueError):
         wh.j_direct(1 - 1j, RP)
+
+
+@pytest.mark.parametrize("k", [complex(NAN, 1.0), complex(1.0, INF),
+                               complex(-INF, 1.0), complex(NAN, 0.0)])
+def test_j_rejects_non_finite_k(k):
+    # a NaN per-piece tol would otherwise report "tol must be positive"
+    with pytest.raises(ValueError, match="finite k"):
+        wh.j_direct(k, RP)
+    with pytest.raises(ValueError, match="finite k"):
+        wh.j_axis(k, RP)
 
 
 def test_j_axis_requires_upper_half_plane():
@@ -171,6 +183,13 @@ def test_j_axis_requires_upper_half_plane():
     for k in (0j, 1.0, 1.0 - 1.0j):
         with pytest.raises(ValueError):
             wh.j_axis(k, RP)
+
+
+def test_j_axis_returns_quad_result():
+    res = wh.j_axis(1.0 + 1.0j, RP, tol=1e-9)
+    assert isinstance(res, QuadResult)
+    assert res.converged and res.evaluations > 0
+    assert res.value == wh.j_direct(1.0 + 1.0j, RP, tol=1e-9)
 
 
 def test_splus_oracle_random_params():
@@ -350,6 +369,24 @@ def test_appendix_b_domain():
         wh.appendix_b_closed(0.5, 0.0)
     with pytest.raises(ValueError):
         wh.appendix_b_closed(2.0, 3.0)
+    # NaN passes every comparison and inf turns into NaN: both sides of
+    # the identity name a non-finite input before any arithmetic
+    for c, alpha, name in ((NAN, 0.0, "c"), (2.0, NAN, "alpha"),
+                           (INF, 0.0, "c"), (2.0, -INF, "alpha")):
+        for f in (wh.appendix_b_closed, wh.appendix_b_quadrature):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                f(c, alpha)
+    # the quadrature's logarithm needs sqrt(x^2 + c^2) + alpha > 0
+    for c, alpha in ((2.0, -3.0), (2.0, -2.0), (-2.0, -2.5), (0.0, 0.0)):
+        with pytest.raises(ValueError, match="requires alpha >"):
+            wh.appendix_b_quadrature(c, alpha)
+
+
+@pytest.mark.parametrize("k", [0j, 0.0, complex(NAN, 1.0),
+                               complex(1.0, INF)])
+def test_j_second_integral_check_domain(k):
+    with pytest.raises(ValueError, match="finite nonzero k"):
+        wh.j_second_integral_check(k, RP)
 
 
 @pytest.mark.parametrize("a_b,b", [(0.5, 1.0), (0.9, 3.0), (0.17, 0.4)])
