@@ -17,8 +17,16 @@ adaptive G7/K15, as in QUADPACK's QAG: Piessens et al., 1983) until the
 summed panel errors plus a roundoff floor are within tol, the same rule
 that sets the converged flag.  The final sum over the panels uses
 math.fsum, which is exactly rounded, so results are bit-reproducible for
-a fixed configuration.  Integrands receive a 1-D float64 array of
-abscissae and must return complex128 values of the same length.
+a fixed configuration.  Integrands receive a 1-D array of abscissae and
+must return complex128 values of the same length.
+
+A FINITE piece may also lie on a horizontal line of the complex plane,
+Im k = c, given by complex endpoints (lo + ic, hi + ic).  Its panels,
+bisection, tol and split budget work on the real part x as for a real
+interval; the integrand receives the complex128 abscissae x + 1j*c, and
+dk/dx = 1.  In one call the pieces are either all real (intervals and
+rays, float64 abscissae) or all horizontal (complex128 abscissae), so an
+integrand can tell the lines of a multi-line call apart by Im k.
 
 One call can integrate several pieces that share an integrand, such as
 the intervals of a contour.  Every piece keeps its own heap of panels,
@@ -35,10 +43,11 @@ piece and round.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -96,39 +105,53 @@ class Kind(Enum):
 class QuadratureSpec:
     """What to integrate over and how hard to try.
 
-    For FINITE, ``endpoints`` is (a, b), both finite.  For DECAYING_RAY
-    it is (start, rate): the path start + u, u >= 0, with integrand decay
-    ~exp(-rate*u), rate > 0.  ``panel_width`` caps the width of the
-    initial panels in x: the wave-function pieces pass their wavelength,
-    so each wavelength gets one initial panel.
+    For FINITE, ``endpoints`` is (a, b), both finite: real numbers for
+    an interval of the real axis, or complex numbers with one imaginary
+    part c for the horizontal segment Im k = c, refined on the real part.
+    For DECAYING_RAY it is (start, rate): the path start + u, u >= 0, with
+    integrand decay ~exp(-rate*u), rate > 0.  ``panel_width`` caps the
+    width of the initial panels in x: the wave-function pieces pass their
+    wavelength, so each wavelength gets one initial panel.
     """
     kind: Kind
     endpoints: tuple
     panel_width: Optional[float] = None
     tol: float = 1e-10
     max_subdivisions: int = 4000
+    # Im k = c of a horizontal FINITE piece, None on the real axis
+    height: Optional[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
+        height = None
         if self.kind is Kind.FINITE:
             a, b = self.endpoints
-            if not (math.isfinite(a) and math.isfinite(b)):
+            if not (cmath.isfinite(a) and cmath.isfinite(b)):
                 raise ValueError("FINITE endpoints must be finite")
+            if isinstance(a, complex) or isinstance(b, complex):
+                height = complex(a).imag
+                if complex(b).imag != height:
+                    raise ValueError("complex FINITE endpoints must share "
+                                     "one imaginary part")
         else:
             _, rate = self.endpoints
             if not rate > 0.0:
                 raise ValueError("decay rate must be positive")
+        object.__setattr__(self, "height", height)
 
 
 @dataclass
 class QuadResult:
+    """value, err_est, evaluations and converged of an integral; from
+    integrate, ``pieces`` holds the result of each spec in spec order."""
     value: complex
     err_est: float
     evaluations: int
     converged: bool
+    pieces: tuple = ()
 
 
 # the ray's map s -> u stops short of s = 1, where u = s/(1-s) diverges
@@ -141,16 +164,26 @@ def _map_panels(los: np.ndarray, his: np.ndarray, pieces):
     half-widths.  ``pieces`` lists (spec, rows) in row order, rows a slice
     of the panels given in that spec's own variable s.  FINITE pieces
     have x = s; a ray maps x = start + s/((1-s) rate) on its own rows and
-    adds (rows, dx/ds) to the Jacobian list."""
+    adds (rows, dx/ds) to the Jacobian list.  If the pieces are
+    horizontal (all of them, as integrate checks), x is complex128:
+    s + 1j*c with each piece's own height c."""
     h = 0.5 * (his - los)
     x = (0.5 * (los + his))[:, None] + h[:, None] * _NODES
     jacs = []
+    heights = []
     for spec, rows in pieces:
         if spec.kind is Kind.DECAYING_RAY:
             start, rate = spec.endpoints
             s = x[rows]  # a view: take dx/ds before x is overwritten
             jacs.append((rows, 1.0 / (rate * (1.0 - s) ** 2)))
             x[rows] = start + s / ((1.0 - s) * rate)
+        elif spec.height is not None:
+            heights.append((rows, spec.height))
+    if heights:
+        c = np.empty(len(h))
+        for rows, height in heights:
+            c[rows] = height
+        x = x + 1j * c[:, None]
     return x, jacs, h
 
 
@@ -160,7 +193,7 @@ def _panel_edges(spec: QuadratureSpec, n: Optional[int] = None):
     over the x-span (30 decay lengths on the ray): ceil(span /
     panel_width), at least 2 and at most 16384; without a width it is 8."""
     if spec.kind is Kind.FINITE:
-        s0, s1 = spec.endpoints
+        s0, s1 = spec.endpoints[0].real, spec.endpoints[1].real
         if s0 == s1:
             return None
         span = abs(s1 - s0)
@@ -269,10 +302,16 @@ def integrate(f, *specs: QuadratureSpec) -> QuadResult:
     panels in its heap and selects its next ones.  A contour of n pieces
     costs one pass per round instead of one per piece and round.
 
+    The pieces are either all real or all horizontal (complex FINITE
+    endpoints on Im k = c, see QuadratureSpec): several horizontal lines
+    share a call as several real intervals do, and the integrand tells
+    their points apart by Im k.
+
     Parameters
     ----------
     f : callable
-        Maps a 1-D float64 array of abscissae to complex values of the
+        Maps a 1-D array of abscissae, float64 for real pieces and
+        complex128 x + 1j*c for horizontal ones, to complex values of the
         same length, each depending on its own abscissa only.
     *specs : QuadratureSpec
         The pieces, at least one.
@@ -281,12 +320,22 @@ def integrate(f, *specs: QuadratureSpec) -> QuadResult:
     -------
     QuadResult
         value and err_est summed over the pieces in spec order from 0j and
-        0.0, evaluations summed, converged only if every piece converged.
+        0.0, evaluations summed, converged only if every piece converged;
+        ``pieces`` holds each spec's own result, in spec order.
         Non-convergence is reported, not raised: converged=False with the
         best value and the achieved error estimate.
+
+    Raises
+    ------
+    ValueError
+        If real and horizontal pieces are mixed in one call.
     """
     if not specs:
         raise TypeError("integrate needs at least one QuadratureSpec")
+    real = specs[0].height is None
+    if any((spec.height is None) is not real for spec in specs):
+        raise ValueError("integrate takes real pieces or horizontal "
+                         "(complex) pieces, not both in one call")
     runs = [_Run(spec) for spec in specs]
     todo = []  # (run, los, his) of every piece with panels to evaluate
     for run in runs:
@@ -316,10 +365,10 @@ def integrate(f, *specs: QuadratureSpec) -> QuadResult:
                 nxt.append((run, *panels))
         todo = nxt
 
-    results = [run.result() for run in runs]
+    results = tuple([run.result() for run in runs])
     value, err = 0j, 0.0
     for res in results:
         value += res.value
         err += res.err_est
     return QuadResult(value, err, sum(res.evaluations for res in results),
-                      all(res.converged for res in results))
+                      all(res.converged for res in results), results)

@@ -35,11 +35,12 @@ at any fixed |y|; see the saddle form psi_tail_saddle.
 from __future__ import annotations
 
 import cmath
+import functools
 import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -310,24 +311,33 @@ _EPS_LADDER = (3e-3, 1e-3, 3e-4)
 _RESIDUE_POINTS = 256
 
 
-def _eps_params(rp: ReducedParams, eps: float):
-    k0e = complex(rp.k0, eps)
-    Ke = cmath.sqrt(k0e * k0e + rp.a * rp.a)
+@functools.lru_cache(maxsize=256)
+def _eps_params(a: float, k0: float, eps: float):
+    """(k0e, Ke, alpha) at Im k0 = eps: k0e = k0 + i eps, Ke =
+    sqrt(k0e^2 + a^2) and the normalization alpha = 2i Ke S+(Ke)/(Ke +
+    k0e).  Memoised: every request of a ladder asks for the same three
+    eps at one (a, k0), and the Ti2 in S+(Ke) is most of the cost.  A test
+    that patches the dilog kernels must clear the cache."""
+    k0e = complex(k0, eps)
+    Ke = cmath.sqrt(k0e * k0e + a * a)
     sKe = (cmath.sqrt((Ke + k0e) / (2.0 * Ke))
-           * cmath.exp(-(1.0 / PI) * ti2(1j * rp.a / Ke)))
+           * cmath.exp(-(1.0 / PI) * ti2(1j * a / Ke)))
     alpha = 2j * Ke * sKe / (Ke + k0e)
     return k0e, Ke, alpha
 
 
-def _line_integrand(k: np.ndarray, R: float, ay: float, rp: ReducedParams,
-                    k0e: complex, Ke: complex) -> np.ndarray:
+def _line_integrand(k: np.ndarray, R: float, ay: float, a: float,
+                    k0e, Ke, k0e2, Ke2) -> np.ndarray:
     """(k + k0)/w e^{-ikR-|y|w} / ((k^2 - K^2) S+(k)) at the eps-shifted
-    k0e, Ke, with w = sqrt(k^2 - k0e^2) on principal roots."""
-    w = np.sqrt(k * k - k0e * k0e)
+    k0e, Ke, with w = sqrt(k^2 - k0e^2) on principal roots.  k0e, Ke and
+    their squares k0e2, Ke2 are scalars or arrays shaped like k; the
+    squares are Python's, formed once per line and repeated, because
+    NumPy's complex multiply can differ from Python's in the last bit."""
+    w = np.sqrt(k * k - k0e2)
     sp = _backend.splus(np.ascontiguousarray(k, dtype=np.complex128),
-                        rp.a, k0e, Ke)
+                        a, k0e, Ke)
     return (k + k0e) / w * np.exp(-1j * k * R - ay * w) / (
-        (k * k - Ke * Ke) * sp)
+        (k * k - Ke2) * sp)
 
 
 def unified_residue_check(rp: ReducedParams) -> float:
@@ -337,33 +347,35 @@ def unified_residue_check(rp: ReducedParams) -> float:
     contour closes for R > 0) is extracted numerically on a small circle
     around K and must reproduce the unit-amplitude incident pair."""
     _require_k0(rp, "unified_residue_check")
-    k0e, Ke, alpha = _eps_params(rp, _EPS_LADDER[1])
+    k0e, Ke, alpha = _eps_params(rp.a, rp.k0, _EPS_LADDER[1])
     r = 0.2 * min(abs(Ke - k0e), abs(Ke))
     th = (np.arange(_RESIDUE_POINTS) + 0.5) * (2.0 * PI / _RESIDUE_POINTS)
     # at R = 0, y = 0: the e^{-ikR-|y|w} factor at k = K is supplied
     # analytically (the e^{-iKR-a|y|} coefficient)
-    f = _line_integrand(Ke + r * np.exp(1j * th), 0.0, 0.0, rp, k0e, Ke)
+    f = _line_integrand(Ke + r * np.exp(1j * th), 0.0, 0.0, rp.a, k0e, Ke,
+                        k0e * k0e, Ke * Ke)
     res = np.mean(f * r * np.exp(1j * th))  # (1/2pi i) contour integral
     coeff = -1j * rp.a * alpha * res
     return abs(coeff - 1.0)
 
 
-def psi_unified(R: float, y: float, rp: ReducedParams, eps: float = 1e-3,
-                tol: float = 1e-7) -> WaveSample:
-    """Single shifted-line integral along Im k = c, Im K < c < Im k0 = eps.
+class _Line(NamedTuple):
+    """The shifted line of psi_unified at one eps: its pieces on Im k = c,
+    the truncation half-length X and the eps parameters."""
+    specs: tuple
+    X: float
+    c: float
+    k0e: complex
+    Ke: complex
+    alpha: complex
 
-    Works in both regions (R != 0).  The value carries an O(eps) bias;
-    psi_unified_extrapolated removes it.  eps below ~2e-5 K is rejected:
-    the line-to-pole distance shrinks like 0.05 eps and the quadrature
-    can no longer resolve the pole spike.
 
-    The line (-X, X) is cut into about two dozen intervals, graded
-    towards -+Re K and -+k0.  They go to one multi-piece ``integrate``
-    call, which refines each interval to its own share of tol but
-    evaluates the integrand (and so S+) once per refinement round for
-    the whole line; the two truncation-end values f(+-X) take one more
-    integrand call.
-    """
+def _line(R: float, y: float, rp: ReducedParams, eps: float,
+          tol: float) -> _Line:
+    """Checks psi_unified's inputs and lays out its line at eps.
+
+    The line (-X, X) + ic is cut into about two dozen intervals, graded
+    towards -+Re K and -+k0, each with its share of tol."""
     if R == 0.0:
         raise ValueError("the two contour closures degenerate at R = 0")
     _check_inputs(R, y, tol)
@@ -374,12 +386,8 @@ def psi_unified(R: float, y: float, rp: ReducedParams, eps: float = 1e-3,
         raise ValueError("eps too small: pole distance below quadrature "
                          "resolution")
     ay = abs(y)
-    k0e, Ke, alpha = _eps_params(rp, eps)
+    k0e, Ke, alpha = _eps_params(rp.a, rp.k0, eps)
     c = 0.5 * (eps + Ke.imag)
-
-    def f(x: np.ndarray) -> np.ndarray:
-        return _line_integrand(x + 1j * c, R, ay, rp, k0e, Ke)
-
     aR = abs(R)
     X = max(50.0, rp.K + 10.0, (1.0 / (tol * max(aR, 0.3) ** 2)) ** (1.0 / 3.0))
     if ay > 0:
@@ -394,26 +402,89 @@ def psi_unified(R: float, y: float, rp: ReducedParams, eps: float = 1e-3,
     # one initial panel per wavelength 2 pi/(|R| + |y| + 1) of
     # e^{-ikR-|y|w}
     width = 2.0 * PI / (aR + ay + 1.0)
-    res = integrate(f, *[QuadratureSpec(Kind.FINITE, (lo, hi),
-                                        tol=tol / (len(edges) - 1),
-                                        panel_width=width,
-                                        max_subdivisions=6000)
-                         for lo, hi in zip(edges[:-1], edges[1:])])
-    total = res.value
-    err = res.err_est
-    # one-step integration-by-parts truncation correction at both ends
-    fX, fmX = f(np.array([X, -X])).tolist()
-    total += (fX - fmX) / (1j * R)
-    err += (abs(fX) + abs(fmX)) / (R * R * X) * 10.0
-    pref = rp.a * alpha / (2.0 * PI)
-    return WaveSample(R, y, pref * total, abs(pref) * err,
-                      Method.UNIFIED_A7, res.converged)
+    specs = tuple(QuadratureSpec(Kind.FINITE, (complex(lo, c), complex(hi, c)),
+                                 tol=tol / (len(edges) - 1),
+                                 panel_width=width, max_subdivisions=6000)
+                  for lo, hi in zip(edges[:-1], edges[1:]))
+    return _Line(specs, X, c, k0e, Ke, alpha)
+
+
+def _unified_samples(R: float, y: float, rp: ReducedParams,
+                     eps_values: Sequence[float], tol: float) -> list:
+    """psi_unified at each eps, all lines in one integrate call.
+
+    Each round of refinement then evaluates the integrand, and so S+,
+    once for every line: the integrand finds each point's line from Im k
+    and takes that line's parameters.  Each line's value, err_est and
+    converged flag are summed from its pieces' results in spec order from
+    0j and 0.0, as integrate sums them, so every sample is the same, bit
+    for bit, as from a call of its line alone.  The two truncation-end
+    values f(+-X) of every line take one more integrand call."""
+    lines = [_line(R, y, rp, eps, tol) for eps in eps_values]
+    ay = abs(y)
+    heights = [ln.c for ln in lines]
+    # per line: k0e, Ke and their Python squares (see _line_integrand)
+    params = np.array([(ln.k0e, ln.Ke, ln.k0e * ln.k0e, ln.Ke * ln.Ke)
+                       for ln in lines]).T.copy()
+
+    def f(k: np.ndarray) -> np.ndarray:
+        which = np.zeros(k.shape, dtype=np.intp)
+        for j in range(1, len(heights)):
+            which[k.imag == heights[j]] = j
+        return _line_integrand(k, R, ay, rp.a, *params.take(which, axis=1))
+
+    res = integrate(f, *(spec for ln in lines for spec in ln.specs))
+    ends = f(np.array([complex(side * ln.X, ln.c) for ln in lines
+                       for side in (1.0, -1.0)])).tolist()
+    samples = []
+    first = 0
+    for j, ln in enumerate(lines):
+        pieces = res.pieces[first:first + len(ln.specs)]
+        first += len(ln.specs)
+        total, err = 0j, 0.0
+        for piece in pieces:
+            total += piece.value
+            err += piece.err_est
+        # one-step integration-by-parts truncation correction at both ends
+        fX, fmX = ends[2 * j:2 * j + 2]
+        total += (fX - fmX) / (1j * R)
+        err += (abs(fX) + abs(fmX)) / (R * R * ln.X) * 10.0
+        pref = rp.a * ln.alpha / (2.0 * PI)
+        samples.append(WaveSample(R, y, pref * total, abs(pref) * err,
+                                  Method.UNIFIED_A7,
+                                  all(piece.converged for piece in pieces)))
+    return samples
+
+
+def psi_unified(R: float, y: float, rp: ReducedParams, eps: float = 1e-3,
+                tol: float = 1e-7) -> WaveSample:
+    """Single shifted-line integral along Im k = c, Im K < c < Im k0 = eps.
+
+    Works in both regions (R != 0).  The value carries an O(eps) bias;
+    psi_unified_extrapolated removes it.  eps below ~2e-5 K is rejected:
+    the line-to-pole distance shrinks like 0.05 eps and the quadrature
+    can no longer resolve the pole spike.
+
+    The line (-X, X) + ic is cut into about two dozen intervals, graded
+    towards -+Re K and -+k0.  They go to one multi-piece ``integrate``
+    call as horizontal pieces, which refines each interval to its own
+    share of tol but evaluates the integrand (and so S+) once per
+    refinement round for the whole line; the two truncation-end values
+    f(+-X) take one more integrand call.
+    """
+    return _unified_samples(R, y, rp, (eps,), tol)[0]
 
 
 def psi_unified_extrapolated(R: float, y: float, rp: ReducedParams,
                              tol: float = 1e-7) -> WaveSample:
     """Extrapolation of psi_unified to eps -> 0 over the three values
     e0 > e1 > e2 of _EPS_LADDER.
+
+    The three lines go to one ``integrate`` call, so each refinement
+    round evaluates the integrand, and S+, once for all of them, and
+    their six truncation-end values take one more call.  Each ladder
+    sample is the same, bit for bit, as psi_unified at its eps, and the
+    same checks raise the same errors.
 
     The first Neville level takes the linear extrapolants of the pairs
     (e0, e1) and (e1, e2); the second combines them over (e1, e2), where
@@ -424,7 +495,7 @@ def psi_unified_extrapolated(R: float, y: float, rp: ReducedParams,
     of (e1, e2) alone.  err_est is the sum of the three samples' estimates
     plus a tenth of the step from the smallest-eps sample to the value.
     """
-    samples = [psi_unified(R, y, rp, eps=e, tol=tol) for e in _EPS_LADDER]
+    samples = _unified_samples(R, y, rp, _EPS_LADDER, tol)
     es = np.array(_EPS_LADDER, dtype=float)
     vs = np.array([s.psi for s in samples])
     while len(vs) > 1:
@@ -594,7 +665,7 @@ def _panel_sums(z, q, amp, jump, w15, w7, R_vals, ay, single=False):
 
 
 def _scan_region(rp: ReducedParams, R_vals: np.ndarray, y_vals: np.ndarray,
-                 method: Method):
+                 method: Method, tol: float):
     """All-pairs evaluation for one sign of R on shared fixed panels: the
     piece nodes and amplitudes once per grid, then per bounded block of
     panels e^{zR} once per (R, node), the transverse factor once per
@@ -602,16 +673,32 @@ def _scan_region(rp: ReducedParams, R_vals: np.ndarray, y_vals: np.ndarray,
     R > 0 bound pair is an (R) x (y) outer product.  For R < 0, APPROX_31
     takes the one-sided segment alone and REGIONAL reports the leg in err
     instead of adding it, as _contour does; every other case is the full
-    wrap with its leg."""
+    wrap with its leg.  The leg goes first: when REGIONAL's reported leg
+    alone exceeds tol at every sample, the segment is skipped and every
+    err is inf, since those samples go pointwise whatever it gives."""
     neg = bool(R_vals[0] < 0)
     segment, leg = ((_free_segment, _free_leg) if neg
                     else (_atom_segment, _atom_leg))
     single = neg and method is Method.APPROX_31
+    noleg = neg and method is Method.REGIONAL
     Rmax = float(np.max(np.abs(R_vals)))
     Rmin = float(np.min(np.abs(R_vals)))
     ay = np.abs(y_vals)
     ymax = float(np.max(ay))
     pref = _pref(rp)
+    sc = abs(pref) / (2 * PI)
+    if not single:
+        # leg nodes on the unit-rate ray; the per-R factor e^{zR}
+        # supplies the decay
+        phase_ray = ymax * min(30.0 / max(Rmin, 1e-3), 1e4)
+        n_ray = int(min(3000, max(24, math.ceil(phase_ray * 2.0 / PI))))
+        spec = QuadratureSpec(Kind.DECAYING_RAY, (0.0, 1.0))
+        lv, el = _panel_sums(*_fixed_nodes(leg, spec, n_ray, rp), R_vals, ay)
+        if noleg:
+            leg_err = sc * np.abs(lv)  # neglected leg, reported, not added
+            if not (leg_err <= tol).any():
+                shape = (len(R_vals), len(ay))
+                return np.zeros(shape, np.complex128), np.full(shape, np.inf)
 
     # quarter-wavelength initial panels for the worst sample of the grid.
     # At k0 = 0 the segment is empty: its nodes would sit on the merged
@@ -625,20 +712,12 @@ def _scan_region(rp: ReducedParams, R_vals: np.ndarray, y_vals: np.ndarray,
     m, em = _panel_sums(*_fixed_nodes(segment, spec, n_panels, rp),
                         R_vals, ay, single)
     out = pref / (2 * PI) * m
-    sc = abs(pref) / (2 * PI)
     err = sc * em
-    if not single:
-        # leg nodes on the unit-rate ray; the per-R factor e^{zR}
-        # supplies the decay
-        phase_ray = ymax * min(30.0 / max(Rmin, 1e-3), 1e4)
-        n_ray = int(min(3000, max(24, math.ceil(phase_ray * 2.0 / PI))))
-        spec = QuadratureSpec(Kind.DECAYING_RAY, (0.0, 1.0))
-        lv, el = _panel_sums(*_fixed_nodes(leg, spec, n_ray, rp), R_vals, ay)
-        if neg and method is Method.REGIONAL:
-            err += sc * np.abs(lv)  # neglected leg, reported, not added
-        else:
-            out += -1j * pref / (2 * PI) * lv
-            err += sc * el
+    if noleg:
+        err += leg_err
+    elif not single:
+        out += -1j * pref / (2 * PI) * lv
+        err += sc * el
     if not neg:
         sK = splus_at_K(rp)
         pair_R = np.array([_bound_pair(R, 0.0, rp, sK) for R in R_vals])
@@ -660,9 +739,10 @@ def scan_grid(R_values: Iterable[float], y_values: Iterable[float],
     for every sample: it is converged when its route converged and its
     err_est is within tol.  REGIONAL reports the neglected leg of R < 0
     samples in err_est, as psi_free does, so at any useful tol they go
-    pointwise.  R = 0 is excluded, R and y must be finite and tol
-    positive.  Deterministic: fixed panel layout, block size and summation
-    order.
+    pointwise, and their fixed-panel segment is not computed when no
+    sample's leg is within tol.  R = 0 is excluded, R and y must be
+    finite and tol positive.  Deterministic: fixed panel layout, block
+    size and summation order.
     """
     R_vals = np.asarray(sorted(set(float(r) for r in R_values)))
     y_vals = np.asarray(sorted(set(float(v) for v in y_values)))
@@ -677,7 +757,7 @@ def scan_grid(R_values: Iterable[float], y_values: Iterable[float],
         for mask in (R_vals > 0, R_vals < 0):
             if mask.any():
                 out[mask], err[mask] = _scan_region(rp, R_vals[mask], y_vals,
-                                                    method)
+                                                    method, tol)
     conv = err <= tol
     redo = np.nonzero(~conv)
     if len(redo[0]):

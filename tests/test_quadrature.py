@@ -183,10 +183,11 @@ def _counting(f):
 
 def _assert_pieces_batch_exactly(f, specs):
     """One multi-piece call equals the single-piece calls summed in spec
-    order from 0j/0.0, bit for bit, and makes one integrand call per
-    refinement round of its slowest piece."""
+    order from 0j/0.0, bit for bit, reports each of them in ``pieces``
+    in spec order, and makes one integrand call per refinement round of
+    its slowest piece."""
     assert len(specs) > 1
-    value, err, evals, ok, calls = 0j, 0.0, 0, True, []
+    value, err, evals, ok, calls, pieces = 0j, 0.0, 0, True, [], []
     for spec in specs:
         g = _counting(f)
         res = integrate(g, spec)
@@ -195,12 +196,15 @@ def _assert_pieces_batch_exactly(f, specs):
         evals += res.evaluations
         ok = ok and res.converged
         calls.append(g.calls)
+        (piece,) = res.pieces
+        pieces.append(piece)
     g = _counting(f)
     res = integrate(g, *specs)
     assert res.value == value
     assert res.err_est == err
     assert res.evaluations == evals
     assert res.converged == ok
+    assert res.pieces == tuple(pieces)
     assert g.calls == max(calls)
     return g.calls, sum(calls)
 
@@ -222,6 +226,26 @@ def test_unified_line_pieces_batch_exactly(monkeypatch, R, y, eps):
         # one call per round (plus the initial one), not one per piece
         # and round
         assert calls <= 10 < 50 <= separate
+
+
+def test_unified_ladder_is_one_call(monkeypatch):
+    # the three lines of the eps ladder (75 pieces here) share one call:
+    # 8 integrand calls, as many as the slowest line takes alone (5, 7
+    # and 8 at eps 3e-3, 1e-3, 3e-4), and the 9,105 evaluations of the
+    # three lines
+    from wavecut import wavefunction as wf
+    from wavecut.model import ReducedParams
+
+    rp = ReducedParams.from_a_k0(1.0, 2.0)
+    seen = _captured_calls(monkeypatch, wf,
+                           lambda: wf.psi_unified_extrapolated(-6.5, 2.25, rp))
+    assert len(seen) == 1
+    f, specs = seen[0]
+    assert len(specs) == 75
+    assert len({spec.height for spec in specs}) == 3
+    calls, _ = _assert_pieces_batch_exactly(f, specs)
+    assert calls == 8
+    assert integrate(f, *specs).evaluations == 2655 + 3075 + 3375
 
 
 @pytest.mark.parametrize("a, k0, k", [(1.0, 2.0, 1.0 + 0.5j),
@@ -269,6 +293,72 @@ def test_multi_piece_convergence_is_all_pieces():
     _assert_pieces_batch_exactly(f, (easy, hard))
 
 
+# ----------------------------------------------------------------------
+# pieces on a horizontal line Im k = c
+# ----------------------------------------------------------------------
+
+def _recording(f):
+    """f, keeping a copy of every abscissa array it is handed."""
+    def g(x):
+        g.seen.append(np.array(x))
+        return f(x)
+    g.seen = []
+    return g
+
+
+def test_horizontal_piece_hands_shifted_abscissae():
+    # panels, bisection and results follow the real part: an integrand of
+    # Re k alone sees the real interval's abscissae shifted by 1j*c, bit
+    # for bit, in complex128, and gives the real interval's result
+    def osc(x):
+        return np.exp(40j * x) / (1.0 + x * x)
+
+    for lo, hi, c in [(-3.0, 4.0, 0.25), (1.0, 2.5, -2.0), (0.0, 1.0, 0.0)]:
+        real, horizontal = _recording(osc), _recording(
+            lambda k: osc(k.real))
+        ref = integrate(real, QuadratureSpec(Kind.FINITE, (lo, hi),
+                                             tol=1e-12))
+        res = integrate(horizontal, QuadratureSpec(
+            Kind.FINITE, (complex(lo, c), complex(hi, c)), tol=1e-12))
+        assert res == ref
+        assert len(real.seen) == len(horizontal.seen) > 1
+        for x, k in zip(real.seen, horizontal.seen):
+            assert x.dtype == np.float64 and k.dtype == np.complex128
+            assert k.tobytes() == (x + 1j * c).tobytes()
+
+
+def test_horizontal_lines_batch_exactly():
+    # pieces on two lines in one call: each point's Im k names its line,
+    # and every piece gives what it gives alone
+    def f(k):
+        return np.exp(1j * k) / (k * k + 4.0)
+
+    specs = (QuadratureSpec(Kind.FINITE, (-5 + 0.5j, 0.5j), tol=1e-11),
+             QuadratureSpec(Kind.FINITE, (0.5j, 5 + 0.5j), tol=1e-11),
+             QuadratureSpec(Kind.FINITE, (-5 - 1j, 5 - 1j), tol=1e-11))
+    assert [spec.height for spec in specs] == [0.5, 0.5, -1.0]
+    seen = _recording(f)
+    integrate(seen, *specs)
+    assert set(seen.seen[0].imag.tolist()) == {0.5, -1.0}
+    _assert_pieces_batch_exactly(f, specs)
+
+
+@pytest.mark.parametrize("specs", [
+    lambda: (QuadratureSpec(Kind.FINITE, (0.5j, 1 + 0.25j)),),
+    lambda: (QuadratureSpec(Kind.FINITE, (complex(0, math.inf),
+                                          complex(1, math.inf))),),
+    lambda: (QuadratureSpec(Kind.FINITE, (complex(math.nan, 1), 1 + 1j)),),
+    lambda: (QuadratureSpec(Kind.FINITE, (0.0, 1.0)),
+             QuadratureSpec(Kind.FINITE, (1 + 1j, 2 + 1j))),
+    lambda: (QuadratureSpec(Kind.FINITE, (1 + 1j, 2 + 1j)),
+             QuadratureSpec(Kind.DECAYING_RAY, (0.0, 1.0))),
+], ids=["unequal-heights", "infinite-height", "nan-end", "real-and-complex",
+        "complex-and-ray"])
+def test_horizontal_pieces_rejected(specs):
+    with pytest.raises(ValueError):
+        integrate(lambda k: np.ones(len(k), dtype=np.complex128), *specs())
+
+
 def test_integrate_needs_a_spec():
     with pytest.raises(TypeError):
         integrate(lambda x: x + 0j)
@@ -294,9 +384,9 @@ def _golden_cases():
     rp = ReducedParams.from_a_k0(1.0, 2.0)
     cases = {}
     # psi_unified's line pieces at each eps of the ladder
-    for eps, call in zip(wf._EPS_LADDER, _library_calls(
-            wf, lambda: wf.psi_unified_extrapolated(-6.5, 2.25, rp))):
-        cases[f"unified-eps{eps:g}"] = call
+    for eps in wf._EPS_LADDER:
+        (cases[f"unified-eps{eps:g}"],) = _library_calls(
+            wf, lambda: wf.psi_unified(-6.5, 2.25, rp, eps=eps))
     # the J oracle without and with its spike call (100|k| <= k0)
     (cases["j_axis"],) = _library_calls(
         wh, lambda: wh.j_axis(1.0 + 0.5j, rp, 1e-9))

@@ -39,6 +39,8 @@ def test_psi_free_region_guard():
         psi_atom(-1.0, 0.0, RP)
     with pytest.raises(ValueError):
         psi_unified(0.0, 0.0, RP)
+    with pytest.raises(ValueError, match="R = 0"):
+        psi_unified_extrapolated(0.0, 0.0, RP)
 
 
 def test_psi_symmetric_in_y():
@@ -253,6 +255,33 @@ def test_unified_eps_guard():
         psi_unified(-2.0, 0.0, RP, eps=1e-9)
     with pytest.raises(ValueError):
         psi_unified(-2.0, 0.0, RP, eps=-1.0)
+    # the ladder's smallest eps, 3e-4, is below 2e-5 K once K > 15
+    with pytest.raises(ValueError, match="eps too small"):
+        psi_unified_extrapolated(-2.0, 0.0,
+                                 ReducedParams.from_a_k0(10.0, 12.0))
+
+
+def _ladder_reference(R, y, rp, tol=1e-7):
+    """The eps ladder as three psi_unified calls and the Neville loop."""
+    samples = [psi_unified(R, y, rp, eps=e, tol=tol) for e in wf._EPS_LADDER]
+    es = np.array(wf._EPS_LADDER, dtype=float)
+    vs = np.array([s.psi for s in samples])
+    while len(vs) > 1:
+        vs = (es[:-1] * vs[1:] - es[1:] * vs[:-1]) / (es[:-1] - es[1:])
+        es = es[1:]
+    err = sum(s.err_est for s in samples) + abs(vs[0] - samples[-1].psi) * 0.1
+    return complex(vs[0]), err, all(s.converged for s in samples)
+
+
+@pytest.mark.parametrize("a, k0", [(1.0, 2.0), (0.5, 3.0), (2.0, 0.7)])
+@pytest.mark.parametrize("R, y", [(-4.0, 1.5), (2.5, 0.75), (-1.5, 0.0),
+                                  (3.0, 0.0)])
+def test_unified_ladder_equals_three_lines(a, k0, R, y):
+    # the three lines in one integrate call give what three psi_unified
+    # calls give, bit for bit
+    rp = ReducedParams.from_a_k0(a, k0)
+    s = psi_unified_extrapolated(R, y, rp)
+    assert (s.psi, s.err_est, s.converged) == _ladder_reference(R, y, rp)
 
 
 def test_unified_residue_unit_incident():
@@ -262,8 +291,8 @@ def test_unified_residue_unit_incident():
 def test_unified_alpha_eps_stable():
     # the normalization constant moves only at first order in eps
     from wavecut.wavefunction import _eps_params
-    a1 = _eps_params(RP, 1e-3)[2]
-    a2 = _eps_params(RP, 2e-3)[2]
+    a1 = _eps_params(RP.a, RP.k0, 1e-3)[2]
+    a2 = _eps_params(RP.a, RP.k0, 2e-3)[2]
     a0 = 2.0 * a1 - a2  # linear extrapolation
     alpha_exact = 2j * K * wh.splus_at_K(RP) / (K + RP.k0)
     assert abs(a0 - alpha_exact) < 1e-5 * abs(alpha_exact)
@@ -571,6 +600,34 @@ def test_regional_grid_keeps_fixed_panels_at_loose_tol(caplog):
             assert g.converged[i, j] == s.converged
 
 
+@pytest.mark.parametrize("Rs, tol, segment", [
+    ((-5.0, -1.0), 1e-6, False), ((-30.0, -10.0), 1e-6, False),
+    ((-5.0, -1.0), 0.1, True)])
+def test_regional_grid_skips_segment_no_sample_can_use(monkeypatch, Rs, tol,
+                                                       segment):
+    # at (1, 2), tol 1e-6, the reported leg of every R < 0 sample exceeds
+    # tol, so all go pointwise: the fixed-panel segment is not computed,
+    # and each sample is psi_free's own; at tol 0.1 the grid keeps them
+    built = []
+    real = wf._fixed_nodes
+    monkeypatch.setattr(wf, "_fixed_nodes", lambda piece, *args: (
+        built.append(piece), real(piece, *args))[1])
+    Rs, ys = np.linspace(*Rs, 5), np.linspace(0.0, 2.0, 5)
+    g = scan_grid(Rs, ys, RP, tol=tol, method=Method.REGIONAL)
+    assert built == ([wf._free_leg, wf._free_segment] if segment
+                     else [wf._free_leg])
+    assert g.converged.all() == segment
+    for i, R in enumerate(g.R_values):
+        for j, y in enumerate(g.y_values):
+            s = psi_free(float(R), float(y), RP, tol=tol,
+                         include_vertical_leg=False)
+            if segment:
+                assert abs(g.samples[i, j] - s.psi) <= g.err[i, j]
+            else:
+                assert (g.samples[i, j], g.err[i, j], g.converged[i, j]) \
+                    == (s.psi, s.err_est, s.converged and s.err_est <= tol)
+
+
 def test_unified_grid_converged_only_within_tol(caplog):
     # the eps ladder's err_est at (1, 2) is 1e-5 to 1e-4: above the
     # default tol, so a unified sample is not converged even though its
@@ -619,6 +676,9 @@ NAN, INF = float("nan"), float("inf")
     (psi_unified, NAN, 0.0, {}),
     (psi_unified, -1.0, 0.0, {"tol": NAN}),
     (psi_unified, -1.0, 0.0, {"eps": NAN}),
+    (psi_unified_extrapolated, NAN, 0.0, {}),
+    (psi_unified_extrapolated, 2.0, -INF, {}),
+    (psi_unified_extrapolated, -1.0, 0.0, {"tol": 0.0}),
     (far_field, NAN, 0.0, {}),
     (far_field, -50.0, INF, {}),
     (steepest_descent, INF, 0.0, {}),
@@ -632,6 +692,8 @@ NAN, INF = float("nan"), float("inf")
 ], ids=["free-y-nan", "free-R-nan", "free-tol-nan", "free-R-minus-inf",
         "approx31-y-inf", "atom-R-inf", "atom-tol-zero", "phi-y-nan",
         "unified-R-nan", "unified-tol-nan", "unified-eps-nan",
+        "extrapolated-R-nan", "extrapolated-y-minus-inf",
+        "extrapolated-tol-zero",
         "far-R-nan", "far-y-inf", "sd-R-inf", "sd-y-nan", "saddle-R-nan",
         "saddle-y-minus-inf", "phases-xi-nan", "splus-re-nan",
         "splus-im-inf", "sigma-plus-re-nan"])

@@ -264,6 +264,25 @@ def test_splus_blocks_match_pointwise(monkeypatch):
         assert sum(calls) == 4 * size
 
 
+def test_splus_per_point_parameters_match_scalar_calls():
+    # k0 and K given per point (as the unified ladder passes its three
+    # lines' eps-shifted values): each point equals its scalar call, bit
+    # for bit, across block boundaries that cut the parameter runs
+    rng = np.random.default_rng(5)
+    runs = []
+    for eps, n in ((3e-3, 700), (1e-3, 900), (3e-4, 650)):
+        k0e = complex(RP.k0, eps)
+        Ke = cmath.sqrt(k0e * k0e + RP.a * RP.a)
+        k = rng.uniform(-8.0, 8.0, n) + 1j * rng.uniform(0.0, 2e-3, n)
+        runs.append((k, k0e, Ke, _purepy.splus(k, RP.a, k0e, Ke)))
+    k = np.concatenate([r[0] for r in runs])
+    k0 = np.concatenate([np.full(len(r[0]), r[1]) for r in runs])
+    Kp = np.concatenate([np.full(len(r[0]), r[2]) for r in runs])
+    assert len(k) > 2 * 1024
+    got = _purepy.splus(k, RP.a, k0, Kp)
+    assert got.tobytes() == np.concatenate([r[3] for r in runs]).tobytes()
+
+
 def test_splus_confluence_guard():
     with pytest.raises(wh.ConfluenceError):
         wh.splus(K, RP)
