@@ -34,7 +34,6 @@ DEFAULTS = {"a": 1.0, "k0": 2.0, "hbar": 1.0, "tol": 1e-6, "format": "csv"}
 
 _METHODS = {
     "regional": Method.REGIONAL_WITH_VERTICAL_LEG,
-    "regional-noleg": Method.REGIONAL,
     "approx31": Method.APPROX_31,
     "unified": Method.UNIFIED_A7,
 }

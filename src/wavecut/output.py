@@ -36,15 +36,26 @@ def fmt(x) -> str:
 
 
 def _csv_field(col: list) -> tuple[str, list]:
-    """The %-template field of a column and the values it takes: %.17g
-    for a column of floats, else %s of the column's fmt strings (bools
-    first, since '%.17g' % True is '1'); the same text as fmt gives."""
+    """The %-template field of a column and the values it takes, the same
+    text as fmt gives.  A float column whose first value does not recur
+    (computed values, nearly all distinct) keeps %.17g in the template;
+    any other column of one type is %s of fmt's text, formatted once per
+    distinct value (a grid's R and y columns repeat each coordinate, its
+    method column is one string)."""
     kinds = set(map(type, col))
-    if kinds == {float}:
+    if kinds == {float} and col.count(col[0]) == 1:
         return "%.17g", col
-    if kinds == {bool}:
-        return "%s", ["true" if v else "false" for v in col]
-    return "%s", list(map(fmt, col))
+    if len(kinds) > 1:
+        return "%s", list(map(fmt, col))
+    text = {v: fmt(v) for v in set(col)}
+    out = list(map(text.__getitem__, col))
+    if kinds == {float} and 0.0 in text:
+        # 0.0 and -0.0 are one key but print as 0 and -0
+        i = -1
+        for _ in range(col.count(0.0)):
+            i = col.index(0.0, i + 1)
+            out[i] = fmt(col[i])
+    return "%s", out
 
 
 def write_table(path: str | Path, fmt_name: str, columns: Mapping[str, list],

@@ -95,6 +95,9 @@ _BATCH = 64
 # a heap item's negated error estimate
 _NEG_ERR = operator.itemgetter(0)
 
+# roundoff floor of an error estimate per unit of sum_p |K15_p|
+_ROUNDOFF = 100.0 * 2.220446049250313e-16
+
 
 class Kind(Enum):
     FINITE = "finite"
@@ -274,8 +277,7 @@ class _Run:
         """Roundoff floor of the error estimate: accumulated
         double-precision noise over the panels, from Python's
         abs(complex), which np.abs can differ from by an ulp."""
-        return 100.0 * 2.220446049250313e-16 * math.fsum(
-            abs(item[4]) for item in self.heap)
+        return _ROUNDOFF * math.fsum(abs(item[4]) for item in self.heap)
 
     def result(self) -> QuadResult:
         # fsum is exactly rounded, so the order of the panels is immaterial

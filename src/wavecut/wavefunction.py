@@ -46,8 +46,8 @@ import numpy as np
 
 from . import _backend
 from .model import ReducedParams
-from .quadrature import (_W7, _W15, Kind, QuadratureSpec, _map_panels,
-                         _panel_edges, integrate)
+from .quadrature import (_ROUNDOFF, _W7, _W15, Kind, QuadratureSpec,
+                         _map_panels, _panel_edges, integrate)
 from .specfun import dilog, im_ti2, ti2
 from .wiener_hopf import splus_array, splus_at_K
 
@@ -641,7 +641,9 @@ def _panel_sums(z, q, amp, jump, w15, w7, R_vals, ay, single=False):
     sums K15, G7 (nb, nR, ny) as batched matrix products, so e^{zR} is
     evaluated once per (R, node) and T once per (y, node); nb keeps each
     of these temporaries near _GRID_BLOCK elements or below.  Returns
-    (sum_p K15_p, sum_p |K15_p - G7_p|), each of shape (nR, ny)."""
+    (sum_p K15_p, sum_p |K15_p - G7_p| + floor), each of shape (nR, ny),
+    with the roundoff floor 100 eps sum_p |K15_p| that integrate adds, so
+    no sample reports an error below the roundoff of its own sum."""
     nR, ny = len(R_vals), len(ay)
     shape = w15.shape                      # (panels, 15)
     z, q, amp = z.reshape(shape), q.reshape(shape), amp.reshape(shape)
@@ -652,6 +654,7 @@ def _panel_sums(z, q, amp, jump, w15, w7, R_vals, ay, single=False):
     Rc = R_vals[None, :, None]
     val = np.zeros((nR, ny), dtype=np.complex128)
     err = np.zeros((nR, ny))
+    mag = np.zeros((nR, ny))
     for p in range(0, shape[0], nb):
         b = slice(p, p + nb)
         ezR = np.exp(z[b, None, :] * Rc)
@@ -661,7 +664,27 @@ def _panel_sums(z, q, amp, jump, w15, w7, R_vals, ay, single=False):
         g7 = (a7[b, None, :] * ezR) @ T
         val += k15.sum(axis=0)
         err += np.abs(k15 - g7).sum(axis=0)
-    return val, err
+        mag += np.abs(k15).sum(axis=0)
+    return val, err + _ROUNDOFF * mag
+
+
+def _panel_count(phase: float, widen: float, cap: int) -> int:
+    """Fixed panels for a piece whose phase spans ``phase`` radians: one
+    per quarter wavelength, and at least 24, both divided by widen; at
+    most cap."""
+    return int(min(cap, math.ceil(max(24.0, phase * 2.0 / PI) / widen)))
+
+
+def _grid_widening(tol: float) -> float:
+    """How many quarter wavelengths one fixed panel spans at tol:
+    (tol/2e-9)^(1/9) between 1 (tol <= 2e-9) and 2 (half a wavelength,
+    about tol 1e-6).  The fixed-panel err_est grows about like the 7th
+    power of the panel width (on the 80 x 61 README grid at (1, 2):
+    1.7e-10 at a quarter wavelength, 1.9e-8 at a half) and swings by a
+    factor of 2 with the panel count, so this keeps it within tol/10 on
+    the grid workload's windows; at a whole wavelength the G7/K15
+    estimate stops bounding the error."""
+    return min(2.0, max(1.0, (tol / 2e-9) ** (1.0 / 9.0)))
 
 
 def _scan_region(rp: ReducedParams, R_vals: np.ndarray, y_vals: np.ndarray,
@@ -671,51 +694,40 @@ def _scan_region(rp: ReducedParams, R_vals: np.ndarray, y_vals: np.ndarray,
     panels e^{zR} once per (R, node), the transverse factor once per
     (y, node) and the panel sums as matrix products (_panel_sums); the
     R > 0 bound pair is an (R) x (y) outer product.  For R < 0, APPROX_31
-    takes the one-sided segment alone and REGIONAL reports the leg in err
-    instead of adding it, as _contour does; every other case is the full
-    wrap with its leg.  The leg goes first: when REGIONAL's reported leg
-    alone exceeds tol at every sample, the segment is skipped and every
-    err is inf, since those samples go pointwise whatever it gives."""
+    takes the one-sided segment alone; every other case is the full wrap
+    with its leg.  tol sets the panel width (_grid_widening): a quarter
+    wavelength of the grid's worst sample at tol <= 2e-9, widening to
+    about a half wavelength at tol 1e-6."""
     neg = bool(R_vals[0] < 0)
     segment, leg = ((_free_segment, _free_leg) if neg
                     else (_atom_segment, _atom_leg))
     single = neg and method is Method.APPROX_31
-    noleg = neg and method is Method.REGIONAL
     Rmax = float(np.max(np.abs(R_vals)))
     Rmin = float(np.min(np.abs(R_vals)))
     ay = np.abs(y_vals)
     ymax = float(np.max(ay))
     pref = _pref(rp)
     sc = abs(pref) / (2 * PI)
-    if not single:
-        # leg nodes on the unit-rate ray; the per-R factor e^{zR}
-        # supplies the decay
-        phase_ray = ymax * min(30.0 / max(Rmin, 1e-3), 1e4)
-        n_ray = int(min(3000, max(24, math.ceil(phase_ray * 2.0 / PI))))
-        spec = QuadratureSpec(Kind.DECAYING_RAY, (0.0, 1.0))
-        lv, el = _panel_sums(*_fixed_nodes(leg, spec, n_ray, rp), R_vals, ay)
-        if noleg:
-            leg_err = sc * np.abs(lv)  # neglected leg, reported, not added
-            if not (leg_err <= tol).any():
-                shape = (len(R_vals), len(ay))
-                return np.zeros(shape, np.complex128), np.full(shape, np.inf)
-
-    # quarter-wavelength initial panels for the worst sample of the grid.
-    # At k0 = 0 the segment is empty: its nodes would sit on the merged
-    # branch points, where the amplitudes are 0/0.  The free leg then
-    # grows like t^-1/2 at the origin (S+(it) ~ sqrt(it/K)), so R < 0 rows
-    # still miss tol on fixed panels and go to the adaptive route; R > 0
-    # rows stay here.
-    n_panels = int(min(6000, max(24, math.ceil(
-        math.sqrt(rp.k0) * _phase_rate(rp, Rmax, ymax) * 2.0 / PI))))
+    widen = _grid_widening(tol)
+    # panels for the worst sample of the grid.  At k0 = 0 the segment is
+    # empty: its nodes would sit on the merged branch points, where the
+    # amplitudes are 0/0.  The free leg then grows like t^-1/2 at the
+    # origin (S+(it) ~ sqrt(it/K)), so R < 0 rows still miss tol on fixed
+    # panels and go to the adaptive route; R > 0 rows stay here.
+    n_panels = _panel_count(math.sqrt(rp.k0) * _phase_rate(rp, Rmax, ymax),
+                            widen, 6000)
     spec = QuadratureSpec(Kind.FINITE, (0.0, math.sqrt(rp.k0)))
     m, em = _panel_sums(*_fixed_nodes(segment, spec, n_panels, rp),
                         R_vals, ay, single)
     out = pref / (2 * PI) * m
     err = sc * em
-    if noleg:
-        err += leg_err
-    elif not single:
+    if not single:
+        # leg nodes on the unit-rate ray; the per-R factor e^{zR}
+        # supplies the decay
+        n_ray = _panel_count(ymax * min(30.0 / max(Rmin, 1e-3), 1e4),
+                             widen, 3000)
+        spec = QuadratureSpec(Kind.DECAYING_RAY, (0.0, 1.0))
+        lv, el = _panel_sums(*_fixed_nodes(leg, spec, n_ray, rp), R_vals, ay)
         out += -1j * pref / (2 * PI) * lv
         err += sc * el
     if not neg:
@@ -730,20 +742,24 @@ def scan_grid(R_values: Iterable[float], y_values: Iterable[float],
               method: Method = Method.REGIONAL_WITH_VERTICAL_LEG) -> WaveGrid:
     """Evaluate psi on the product grid R_values x y_values.
 
-    Every method but UNIFIED_A7 first takes each sign of R on fixed
-    shared quadrature panels (_scan_region), with the embedded-pair error
-    estimate per sample.  Samples whose estimate exceeds tol, and every
-    UNIFIED_A7 sample, are then evaluated pointwise by their route
-    (psi_atom, psi_free, psi_approx31 or psi_unified_extrapolated); each
-    call that does so logs one INFO record counting them.  One rule holds
-    for every sample: it is converged when its route converged and its
-    err_est is within tol.  REGIONAL reports the neglected leg of R < 0
-    samples in err_est, as psi_free does, so at any useful tol they go
-    pointwise, and their fixed-panel segment is not computed when no
-    sample's leg is within tol.  R = 0 is excluded, R and y must be
-    finite and tol positive.  Deterministic: fixed panel layout, block
-    size and summation order.
+    REGIONAL_WITH_VERTICAL_LEG and APPROX_31 first take each sign of R on
+    fixed shared quadrature panels (_scan_region), with the embedded-pair
+    error estimate per sample.  The panels are a quarter wavelength wide
+    at tol <= 2e-9 and widen with tol to about half a wavelength at tol
+    1e-6, which keeps that estimate within tol/10.  Samples whose
+    estimate exceeds tol, and every UNIFIED_A7 sample, are then evaluated
+    pointwise by their route (psi_atom, psi_free, psi_approx31 or
+    psi_unified_extrapolated); each call that does so logs one INFO record
+    counting them.  One rule holds for every sample: it is converged when
+    its route converged and its err_est is within tol.  REGIONAL, the wrap
+    without its leg, is no grid method: its reported leg exceeds any
+    useful tol.  R = 0 is excluded, R and y must be finite and tol
+    positive.  Deterministic: fixed panel layout, block size and
+    summation order.
     """
+    if method is Method.REGIONAL:
+        raise ValueError("Method.REGIONAL is no grid method; use "
+                         "psi_free(include_vertical_leg=False)")
     R_vals = np.asarray(sorted(set(float(r) for r in R_values)))
     y_vals = np.asarray(sorted(set(float(v) for v in y_values)))
     if len(R_vals) == 0 or len(y_vals) == 0:
@@ -773,8 +789,7 @@ def scan_grid(R_values: Iterable[float], y_values: Iterable[float],
         elif method is Method.APPROX_31:
             s = psi_approx31(R, y, rp, tol)
         else:
-            s = psi_free(R, y, rp, tol, include_vertical_leg=method
-                         is Method.REGIONAL_WITH_VERTICAL_LEG)
+            s = psi_free(R, y, rp, tol)
         out[i, j] = s.psi
         err[i, j] = s.err_est
         conv[i, j] = s.converged and s.err_est <= tol

@@ -183,7 +183,9 @@ def test_wavefunction_rejects_boundary(tmp_path):
     ["--R", "-2:-1:2", "--y", "0:1:2", "--a", "nan"],
     ["--R", "-2:-1:2", "--y", "0:1:2", "--eps", "1e-3"],
     ["--R", "-2:-1:2", "--y", "0:1:2", "--method", "far32"],
-], ids=["R-nan", "R-inf", "tol-zero", "a-nan", "eps", "method-far32"])
+    ["--R", "-3:-3:1", "--y", "0:0:1", "--method", "regional-noleg"],
+], ids=["R-nan", "R-inf", "tol-zero", "a-nan", "eps", "method-far32",
+        "method-regional-noleg"])
 def test_wavefunction_rejects_invalid_input(tmp_path, args):
     # argparse reports an unknown option or choice by SystemExit(2)
     try:
@@ -191,21 +193,6 @@ def test_wavefunction_rejects_invalid_input(tmp_path, args):
     except SystemExit as exc:
         rc = exc.code
     assert rc == 2
-
-
-def test_wavefunction_noleg_reports_leg(tmp_path):
-    # the neglected evanescent leg (~2e-2 here) is reported in err_est,
-    # so the sample is non-converged at the default tol
-    from wavecut.model import ReducedParams
-    from wavecut.wavefunction import psi_free
-    rc = main(["wavefunction", "--R", "-3:-3:1", "--y", "0:0:1",
-               "--method", "regional-noleg", "--out", str(tmp_path)])
-    assert rc == 3
-    _, rows = read_csv(tmp_path / "wavefunction.csv")
-    ref = psi_free(-3.0, 0.0, ReducedParams.from_a_k0(1.0, 2.0), tol=1e-6,
-                   include_vertical_leg=False)
-    assert float(rows[0][5]) == ref.err_est > 1e-2
-    assert rows[0][7] == "false"
 
 
 def test_wavefunction_unified_method(tmp_path):
@@ -370,6 +357,29 @@ def test_csv_templates_match_fmt(tmp_path):
         ",".join(map(fmt, row)) + "\r\n" for row in zip(*table.values()))
     assert (tmp_path / "t.csv").read_bytes() == want.encode()
     assert want.splitlines()[1] == "-0,true,regional,100000000000000000000,1"
+
+
+def test_csv_formats_repeated_values_like_fmt(tmp_path):
+    # columns formatted once per distinct value: repeated floats holding
+    # both zeros (0.0 == -0.0 as keys, but they print as 0 and -0; each
+    # column meets its zeros in the other order), a constant string and a
+    # bool column; the JSON bytes keep their layout
+    table = {
+        "R": [-0.0, -0.0, 0.0, 0.0, 2.5, 2.5],
+        "y": [0.0, 0.1, -0.0, 0.0, 0.1, -0.0],
+        "method": ["regional"] * 6,
+        "converged": [True, False, True, True, False, True],
+    }
+    write_table(tmp_path / "t.csv", "csv", table, {})
+    want = "R,y,method,converged\r\n" + "".join(
+        ",".join(map(fmt, row)) + "\r\n" for row in zip(*table.values()))
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+    assert want.splitlines()[3] == "0,-0,regional,true"
+    write_table(tmp_path / "t.json", "json", table, {"tol": 1e-6})
+    doc = {"metadata": {"tol": 1e-6, "column_names": list(table)},
+           "columns": table}
+    assert (tmp_path / "t.json").read_text() == \
+        json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def test_config_file_precedence(tmp_path):

@@ -69,12 +69,17 @@ def test_vertical_leg_decay_validates_neglect():
 
 
 @pytest.mark.parametrize("tol, converged", [(1e-6, False), (1e-1, True)])
-def test_regional_converged_agrees_with_grid(tol, converged):
-    # the neglected leg (err_est 2.2e-2 here) counts against tol on the
-    # adaptive route as on the grid
+def test_noleg_converged_only_within_tol(tol, converged):
+    # the neglected leg (err_est 2.2e-2 here) counts against tol
     s = psi_free(-3.0, 0.0, RP, tol=tol, include_vertical_leg=False)
-    g = scan_grid([-3.0], [0.0], RP, tol=tol, method=Method.REGIONAL)
-    assert s.converged == bool(g.converged[0, 0]) == converged
+    assert s.converged == converged
+
+
+def test_scan_grid_rejects_leg_less_method():
+    # the wrap without its leg is no grid method: its reported leg
+    # exceeds any useful tol
+    with pytest.raises(ValueError, match="no grid method"):
+        scan_grid([-3.0], [0.0], RP, tol=0.1, method=Method.REGIONAL)
 
 
 def test_methods_recorded():
@@ -513,29 +518,19 @@ def _pointwise(R, y, method, tol):
         return psi_atom(R, y, RP, tol=tol)
     if method is Method.APPROX_31:
         return psi_approx31(R, y, RP, tol=tol)
-    return psi_free(R, y, RP, tol=tol, include_vertical_leg=method
-                    is Method.REGIONAL_WITH_VERTICAL_LEG)
+    return psi_free(R, y, RP, tol=tol)
 
 
 def test_scan_grid_matches_pointwise():
     Rs = [-6.0, -1.0, 2.0]
     ys = [0.0, 1.5, 4.0]
     tol = 1e-9
-    for method in (Method.REGIONAL_WITH_VERTICAL_LEG, Method.APPROX_31,
-                   Method.REGIONAL):
+    for method in (Method.REGIONAL_WITH_VERTICAL_LEG, Method.APPROX_31):
         g = scan_grid(Rs, ys, RP, tol=tol, method=method)
         for i, R in enumerate(g.R_values):
             for j, y in enumerate(g.y_values):
-                R, y = float(R), float(y)
-                ref = _pointwise(R, y, method, 1e-11)
+                ref = _pointwise(float(R), float(y), method, 1e-11)
                 assert abs(g.samples[i, j] - ref.psi) < 5e-8
-                if method is Method.REGIONAL and R < 0:
-                    # the neglected leg is reported as psi_free reports it
-                    same = _pointwise(R, y, method, tol)
-                    assert g.err[i, j] == pytest.approx(same.err_est,
-                                                        rel=1e-12)
-                    assert g.converged[i, j] == (same.converged
-                                                 and same.err_est <= tol)
 
 
 @pytest.mark.parametrize("method", [Method.REGIONAL_WITH_VERTICAL_LEG,
@@ -573,59 +568,68 @@ def test_scan_grid_memory_bounded():
 
 def test_scan_grid_logs_fallbacks(caplog):
     caplog.set_level(logging.INFO, logger="wavecut.wavefunction")
-    scan_grid([-2.0, 1.0], [0.0, 1.0], RP, tol=1e-6)
+    scan_grid([-0.5, 1.0], [0.0, 6.0], RP, tol=1e-6)
     assert not caplog.records
-    # the neglected leg of REGIONAL R < 0 samples exceeds this tol, so
-    # they go pointwise; the R > 0 row does not
-    scan_grid([-2.0, 1.0], [0.0, 1.0], RP, tol=1e-6, method=Method.REGIONAL)
+    # at tol 1e-10 the fixed-panel leg of (-0.5, 6), which decays slowest
+    # and oscillates fastest, misses tol (1.7e-10), so that sample goes
+    # pointwise; the others do not
+    scan_grid([-0.5, 1.0], [0.0, 6.0], RP, tol=1e-10)
     assert len(caplog.records) == 1
-    assert ("2 of 4 samples evaluated pointwise"
+    assert ("1 of 4 samples evaluated pointwise"
             in caplog.records[0].getMessage())
 
 
-def test_regional_grid_keeps_fixed_panels_at_loose_tol(caplog):
-    # at tol 0.1 the neglected leg fits in tol: REGIONAL R < 0 samples
-    # stay on the fixed panels, where it is reported as psi_free reports
-    # it, and agree with psi_free within err_est
-    caplog.set_level(logging.INFO, logger="wavecut.wavefunction")
-    g = scan_grid([-5.0, -3.0], [0.0, 1.0, 2.0], RP, tol=0.1,
-                  method=Method.REGIONAL)
-    assert not caplog.records
-    assert g.converged.all()
-    for i, R in enumerate(g.R_values):
-        for j, y in enumerate(g.y_values):
-            s = psi_free(float(R), float(y), RP, tol=0.1,
-                         include_vertical_leg=False)
-            assert abs(g.samples[i, j] - s.psi) <= g.err[i, j]
-            assert g.converged[i, j] == s.converged
+# the README grid, --R -20:-0.5:40 --y 0:6:61, and its mirror in R > 0
+README_R = np.concatenate([np.linspace(-20.0, -0.5, 40),
+                           np.linspace(0.5, 20.0, 40)])
+README_Y = np.linspace(0.0, 6.0, 61)
 
 
-@pytest.mark.parametrize("Rs, tol, segment", [
-    ((-5.0, -1.0), 1e-6, False), ((-30.0, -10.0), 1e-6, False),
-    ((-5.0, -1.0), 0.1, True)])
-def test_regional_grid_skips_segment_no_sample_can_use(monkeypatch, Rs, tol,
-                                                       segment):
-    # at (1, 2), tol 1e-6, the reported leg of every R < 0 sample exceeds
-    # tol, so all go pointwise: the fixed-panel segment is not computed,
-    # and each sample is psi_free's own; at tol 0.1 the grid keeps them
-    built = []
-    real = wf._fixed_nodes
-    monkeypatch.setattr(wf, "_fixed_nodes", lambda piece, *args: (
-        built.append(piece), real(piece, *args))[1])
-    Rs, ys = np.linspace(*Rs, 5), np.linspace(0.0, 2.0, 5)
-    g = scan_grid(Rs, ys, RP, tol=tol, method=Method.REGIONAL)
-    assert built == ([wf._free_leg, wf._free_segment] if segment
-                     else [wf._free_leg])
-    assert g.converged.all() == segment
-    for i, R in enumerate(g.R_values):
-        for j, y in enumerate(g.y_values):
-            s = psi_free(float(R), float(y), RP, tol=tol,
-                         include_vertical_leg=False)
-            if segment:
-                assert abs(g.samples[i, j] - s.psi) <= g.err[i, j]
-            else:
-                assert (g.samples[i, j], g.err[i, j], g.converged[i, j]) \
-                    == (s.psi, s.err_est, s.converged and s.err_est <= tol)
+@pytest.mark.parametrize("method, counts", [
+    (Method.REGIONAL_WITH_VERTICAL_LEG,
+     {"psi_free": [0, 0, 3, 25], "psi_atom": [0, 0, 3, 25]}),
+    (Method.APPROX_31,
+     {"psi_approx31": [0, 0, 0, 0], "psi_atom": [0, 0, 3, 25]}),
+], ids=["regional", "approx31"])
+def test_readme_grid_pointwise_counts(monkeypatch, method, counts):
+    # a layout too coarse for its tol shows as samples sent pointwise:
+    # none at tol 1e-6 and 1e-8, where the fixed-panel err_est stays
+    # within tol/10, and the same few slow-decaying leg samples at
+    # |R| = 0.5, large y as with quarter-wavelength panels at 1e-10, 1e-12
+    calls = {name: 0 for name in ("psi_free", "psi_atom", "psi_approx31")}
+    for name in calls:
+        def counted(*args, _route=getattr(wf, name), _name=name, **kw):
+            calls[_name] += 1
+            return _route(*args, **kw)
+        monkeypatch.setattr(wf, name, counted)
+    seen = {name: [] for name in counts}
+    for tol in (1e-6, 1e-8, 1e-10, 1e-12):
+        for name in calls:
+            calls[name] = 0
+        g = scan_grid(README_R, README_Y, RP, tol=tol, method=method)
+        assert g.converged.all()
+        if tol >= 1e-8:
+            assert g.err.max() <= tol / 10
+        for name in seen:
+            seen[name].append(calls[name])
+        assert sum(calls.values()) == sum(c[-1] for c in seen.values())
+    assert seen == counts
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_grid_cells_agree_across_layouts(tol):
+    # one far R and one large y lay out the shared panels anew; each
+    # shared cell must then agree within its two err_est, the roundoff
+    # floor included (without it 87 of these 726 cells disagreed, by up
+    # to 6.4 times their summed err_est)
+    Rs = np.arange(-5.5, -0.25, 0.5)
+    Rs = np.concatenate([Rs, -Rs[::-1]])
+    ys = np.arange(11) * 0.2
+    base = scan_grid(Rs, ys, RP, tol=tol)
+    for R_far, y_far in ((20.0, 6.0), (12.0, 4.0), (8.0, 3.0)):
+        g = scan_grid([-R_far, *Rs, R_far], [*ys, y_far], RP, tol=tol)
+        s, e = g.samples[1:-1, :-1], g.err[1:-1, :-1]
+        assert (np.abs(s - base.samples) <= e + base.err).all()
 
 
 def test_unified_grid_converged_only_within_tol(caplog):
