@@ -33,9 +33,16 @@ class CutSideError(ValueError):
     """Argument lies exactly on a branch cut and no side was given."""
 
 
-def _as_array(z) -> tuple[np.ndarray, bool]:
-    arr = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    return arr.ravel(), np.ndim(z) == 0
+def _as_array(z, name: str) -> tuple[np.ndarray, bool]:
+    """z as a flat complex128 array and whether it was a scalar; raises
+    ValueError naming the first non-finite argument, which the kernels
+    would turn into nan+nanj with RuntimeWarnings."""
+    arr = np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise ValueError(f"{name} needs finite arguments, got "
+                         f"{complex(arr[bad][0])}")
+    return arr, np.ndim(z) == 0
 
 
 def dilog(z):
@@ -43,9 +50,10 @@ def dilog(z):
 
     Accepts a scalar or array_like; returns complex or complex ndarray of
     the same shape.  For real z > 1 (on the cut) the value is the limit
-    from below, Im Li2 = -pi ln z.
+    from below, Im Li2 = -pi ln z.  Raises ValueError for a non-finite
+    argument.
     """
-    arr, scalar = _as_array(z)
+    arr, scalar = _as_array(z, "dilog")
     out = _backend.dilog(arr)
     if scalar:
         return complex(out[0])
@@ -64,10 +72,12 @@ def ti2(z, side: int | None = None):
 
     Raises
     ------
+    ValueError
+        Non-finite argument.
     CutSideError
         On-cut argument without a side.
     """
-    arr, scalar = _as_array(z)
+    arr, scalar = _as_array(z, "ti2")
     oncut = (arr.real == 0.0) & (np.abs(arr.imag) >= 1.0)
     if oncut.any() and side is None:
         raise CutSideError(

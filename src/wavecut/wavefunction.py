@@ -215,7 +215,8 @@ def _piece_integral(piece, R: float, y: float, rp: ReducedParams, tol: float,
         return amp * np.exp(z * R) * _transverse(q, ay, jump, single)
 
     if piece in (_free_leg, _atom_leg):
-        # one initial panel per wavelength 2 pi/|y| of cos(|y| q)
+        # one initial panel per wavelength 2 pi/|y| of cos(|y| q), on
+        # average over the ray, and at least 8 (_panel_edges)
         spec = QuadratureSpec(Kind.DECAYING_RAY, (0.0, abs(R)), tol=tol,
                               panel_width=2.0 * PI / max(ay, 0.5))
     else:
@@ -501,8 +502,9 @@ def psi_unified_extrapolated(R: float, y: float, rp: ReducedParams,
     while len(vs) > 1:
         vs = (es[:-1] * vs[1:] - es[1:] * vs[:-1]) / (es[:-1] - es[1:])
         es = es[1:]
-    err = sum(s.err_est for s in samples) + abs(vs[0] - samples[-1].psi) * 0.1
-    return WaveSample(R, y, complex(vs[0]), err, Method.UNIFIED_A7,
+    value = complex(vs[0])
+    err = sum(s.err_est for s in samples) + abs(value - samples[-1].psi) * 0.1
+    return WaveSample(R, y, value, err, Method.UNIFIED_A7,
                       all(s.converged for s in samples))
 
 

@@ -189,14 +189,15 @@ def j_axis(k: complex, rp: ReducedParams, tol: float = 1e-10):
 
     c = i a for v < 0 and c = a for v > 0, vanishes like v^3 ln|v| at the
     branch point (Davis & Rabinowitz, Methods of Numerical Integration,
-    1984, section 2.9).  Its pieces (-k0^(1/4), 0), (0, V) and the ray from
-    V = (11 k0 + 4|k|)^(1/4), where u = 12 k0 + 4|k|, go to one integrate
-    call.  When 100|k| <= k0 the poles u = +-k make a spike of width |k|
-    at u = 0; the gap piece then starts at u = k0/2, and u in (0, k0/2)
-    goes to a second call in s, u = |k| expm1(s), on pieces with edges
-    at u = |k| and 10|k|.  The returned err_est is |k|/pi times the
-    summed estimate, and each of the n pieces (3, or 6 with the spike)
-    gets tol pi/(n|k|), so converged means err_est <= tol on J itself.
+    1984, section 2.9).  Its pieces (-k0^(1/4), 0) and (0, V), on 4 and 8
+    initial panels, and the ray from V = (11 k0 + 4|k|)^(1/4), where u =
+    12 k0 + 4|k|, go to one integrate call.  When 100|k| <= k0 the poles
+    u = +-k make a spike of width |k| at u = 0; the gap piece then starts
+    at u = k0/2, and u in (0, k0/2) goes to a second call in s, u = |k|
+    expm1(s), on pieces with edges at u = |k| and 10|k|.  The returned
+    err_est is |k|/pi times the summed estimate, and each of the n pieces
+    (3, or 6 with the spike) gets tol pi/(n|k|), so converged means
+    err_est <= tol on J itself.
     Raises ValueError for a non-finite k and unless Im k > 0.
     """
     if not cmath.isfinite(k):
@@ -235,7 +236,7 @@ def j_axis(k: complex, rp: ReducedParams, tol: float = 1e-10):
         v0 = -(0.5 * k0) ** 0.25
     res = integrate(
         f,
-        QuadratureSpec(Kind.FINITE, (v0, 0.0), tol=ptol, panel_width=q),
+        QuadratureSpec(Kind.FINITE, (v0, 0.0), tol=ptol, panel_width=q / 4),
         QuadratureSpec(Kind.FINITE, (0.0, V), tol=ptol, panel_width=V / 8),
         QuadratureSpec(Kind.DECAYING_RAY, (V, 0.5 / V), tol=ptol))
     return QuadResult(k / (PI * 1j) * (res.value + spike.value),

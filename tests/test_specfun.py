@@ -3,6 +3,7 @@ defining power series, and brute-force path quadrature."""
 
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -232,3 +233,15 @@ def test_no_nan_on_plane_sweep():
     assert np.all(np.isfinite(out))
     out2 = ti2(z[np.abs(z.real) > 1e-6])
     assert np.all(np.isfinite(out2))
+
+
+@pytest.mark.parametrize("fn", [dilog, ti2, im_ti2])
+@pytest.mark.parametrize("z", [math.inf, math.nan, complex(1.0, math.inf),
+                               complex(-math.inf, 1.0)])
+def test_non_finite_argument_raises(fn, z):
+    # a typed error naming the argument, not nan+nanj with RuntimeWarnings
+    with pytest.raises(ValueError, match=re.escape(f"got {complex(z)}")):
+        fn(z)
+    # in an array the first non-finite element is named
+    with pytest.raises(ValueError, match=re.escape("got (nan+0j)")):
+        fn(np.array([0.5, math.nan, math.inf]))

@@ -90,6 +90,21 @@ def test_methods_recorded():
     assert psi_atom(2.0, 0.5, RP).method is Method.REGIONAL_WITH_VERTICAL_LEG
 
 
+@pytest.mark.parametrize("route", [
+    lambda: psi_free(-2.0, 0.5, RP),
+    lambda: psi_free(-2.0, 0.5, RP, include_vertical_leg=False),
+    lambda: psi_approx31(-2.0, 0.5, RP),
+    lambda: psi_atom(2.0, 0.5, RP),
+    lambda: psi_unified(-2.0, 0.5, RP, tol=1e-6),
+    lambda: psi_unified_extrapolated(-2.0, 0.5, RP, tol=1e-6),
+], ids=["free", "free-noleg", "approx31", "atom", "unified", "extrapolated"])
+def test_sample_field_types(route):
+    # Python scalars on every route: numpy.float64 would pass isinstance
+    s = route()
+    assert type(s.psi) is complex and type(s.err_est) is float
+    assert type(s.converged) is bool
+
+
 def test_result_records_round_trip():
     # slotted frozen records: no per-instance dict, still pickle and copy
     rec = psi_free(-2.0, 0.5, RP)
@@ -253,6 +268,29 @@ def test_regional_evaluation_counts(monkeypatch, R, y, bound):
     s = (psi_free if R < 0 else psi_atom)(R, y, RP, tol=1e-8)
     assert s.converged
     assert sum(evals) <= bound
+
+
+def test_regional_integrand_passes(monkeypatch):
+    # each pass pays the fixed cost of one S+ call, so the passes, not the
+    # evaluations, set the cost of a sample: a leg starting on 8 ray
+    # panels mostly converges in one pass, and the segment and leg of a
+    # sample average 2.49 passes (3.43 with legs on 2 initial panels)
+    passes = []
+    real = wf.integrate
+
+    def counted(f, *specs):
+        def g(x):
+            passes.append(1)
+            return f(x)
+        return real(g, *specs)
+
+    monkeypatch.setattr(wf, "integrate", counted)
+    samples = [(psi_free if R < 0 else psi_atom)(R, y, RP, tol=1e-8)
+               for R in (-20.0, -10.0, -5.0, -2.0, -1.0, -0.5,
+                         0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
+               for y in (0.0, 0.5, 1.0, 2.0, 4.0, 6.0)]
+    assert all(s.converged for s in samples)
+    assert len(passes) <= 2.6 * len(samples)
 
 
 def test_unified_eps_guard():
