@@ -318,7 +318,8 @@ def _eps_params(a: float, k0: float, eps: float):
     sqrt(k0e^2 + a^2) and the normalization alpha = 2i Ke S+(Ke)/(Ke +
     k0e).  Memoised: every request of a ladder asks for the same three
     eps at one (a, k0), and the Ti2 in S+(Ke) is most of the cost.  A test
-    that patches the dilog kernels must clear the cache."""
+    that patches the dilog kernels must clear this cache and the S+ memo
+    of the lines, _splus_memo; _clear_unified_caches() clears both."""
     k0e = complex(k0, eps)
     Ke = cmath.sqrt(k0e * k0e + a * a)
     sKe = (cmath.sqrt((Ke + k0e) / (2.0 * Ke))
@@ -327,16 +328,60 @@ def _eps_params(a: float, k0: float, eps: float):
     return k0e, Ke, alpha
 
 
-def _line_integrand(k: np.ndarray, R: float, ay: float, a: float,
-                    k0e, Ke, k0e2, Ke2) -> np.ndarray:
+# The S+ memo of the unified lines: per line, keyed like _eps_params on
+# (a, k0, eps), the nodes strictly inside its outermost fixed cut, as
+# (Re k sorted ascending, S+ at them).  Those pieces' edges depend only on
+# (a, k0, eps), so every request at one parameter set reuses their nodes;
+# the tails to -+X, which move with R, y and tol, are not kept.  A line
+# keeps at most _MEMO_NODES nodes and stops filing when full; at most
+# _MEMO_LINES lines are kept, the least recently used dropped whole.
+# Worst case 9 * 16384 * (8 + 16) bytes = 3,538,944 bytes (3.4 MiB).
+_MEMO_NODES = 16384
+_MEMO_LINES = 9
+_splus_memo: dict = {}
+_MEMO_EMPTY = (np.empty(0), np.empty(0, np.complex128))
+
+
+def _clear_unified_caches() -> None:
+    """Empties _eps_params's cache and the S+ memo of the lines."""
+    _eps_params.cache_clear()
+    _splus_memo.clear()
+
+
+def _memo_line(key: tuple) -> tuple:
+    """The (Re k, S+) held for the line at key = (a, k0, eps), empty if
+    the line is new; the line becomes the most recently used."""
+    entry = _splus_memo.pop(key, None)
+    if entry is None:
+        entry = _MEMO_EMPTY
+        if len(_splus_memo) >= _MEMO_LINES:
+            del _splus_memo[next(iter(_splus_memo))]
+    _splus_memo[key] = entry
+    return entry
+
+
+def _memo_file(key: tuple, entry: tuple, x: np.ndarray,
+               sp: np.ndarray) -> None:
+    """Files the nodes Re k = x, none of them in the line's entry, with
+    their S+, as many as the line has room for."""
+    if not x.size or entry[0].size >= _MEMO_NODES:
+        return
+    x = np.concatenate((entry[0], x))[:_MEMO_NODES]
+    sp = np.concatenate((entry[1], sp))[:x.size]
+    # the held keys are one sorted run for the stable sort (a timsort)
+    order = np.argsort(x, kind="stable")
+    _splus_memo[key] = (x[order], sp[order])
+
+
+def _line_integrand(k: np.ndarray, R: float, ay: float, k0e, k0e2, Ke2,
+                    sp: np.ndarray) -> np.ndarray:
     """(k + k0)/w e^{-ikR-|y|w} / ((k^2 - K^2) S+(k)) at the eps-shifted
-    k0e, Ke, with w = sqrt(k^2 - k0e^2) on principal roots.  k0e, Ke and
-    their squares k0e2, Ke2 are scalars or arrays shaped like k; the
-    squares are Python's, formed once per line and repeated, because
-    NumPy's complex multiply can differ from Python's in the last bit."""
+    k0e, Ke, with w = sqrt(k^2 - k0e^2) on principal roots and sp =
+    S+(k) at k0e, Ke.  k0e and the squares k0e2, Ke2 are scalars or arrays
+    shaped like k; the squares are Python's, formed once per line and
+    repeated, because NumPy's complex multiply can differ from Python's in
+    the last bit."""
     w = np.sqrt(k * k - k0e2)
-    sp = _backend.splus(np.ascontiguousarray(k, dtype=np.complex128),
-                        a, k0e, Ke)
     return (k + k0e) / w * np.exp(-1j * k * R - ay * w) / (
         (k * k - Ke2) * sp)
 
@@ -353,8 +398,9 @@ def unified_residue_check(rp: ReducedParams) -> float:
     th = (np.arange(_RESIDUE_POINTS) + 0.5) * (2.0 * PI / _RESIDUE_POINTS)
     # at R = 0, y = 0: the e^{-ikR-|y|w} factor at k = K is supplied
     # analytically (the e^{-iKR-a|y|} coefficient)
-    f = _line_integrand(Ke + r * np.exp(1j * th), 0.0, 0.0, rp.a, k0e, Ke,
-                        k0e * k0e, Ke * Ke)
+    k = Ke + r * np.exp(1j * th)
+    f = _line_integrand(k, 0.0, 0.0, k0e, k0e * k0e, Ke * Ke,
+                        _backend.splus(k, rp.a, k0e, Ke))
     res = np.mean(f * r * np.exp(1j * th))  # (1/2pi i) contour integral
     coeff = -1j * rp.a * alpha * res
     return abs(coeff - 1.0)
@@ -362,10 +408,13 @@ def unified_residue_check(rp: ReducedParams) -> float:
 
 class _Line(NamedTuple):
     """The shifted line of psi_unified at one eps: its pieces on Im k = c,
-    the truncation half-length X and the eps parameters."""
+    the truncation half-length X, the outermost fixed cuts lo < hi, whose
+    pieces the S+ memo keeps, and the eps parameters."""
     specs: tuple
     X: float
     c: float
+    lo: float
+    hi: float
     k0e: complex
     Ke: complex
     alpha: complex
@@ -407,20 +456,25 @@ def _line(R: float, y: float, rp: ReducedParams, eps: float,
                                  tol=tol / (len(edges) - 1),
                                  panel_width=width, max_subdivisions=6000)
                   for lo, hi in zip(edges[:-1], edges[1:]))
-    return _Line(specs, X, c, k0e, Ke, alpha)
+    return _Line(specs, X, c, edges[1], edges[-2], k0e, Ke, alpha)
 
 
 def _unified_samples(R: float, y: float, rp: ReducedParams,
                      eps_values: Sequence[float], tol: float) -> list:
     """psi_unified at each eps, all lines in one integrate call.
 
-    Each round of refinement then evaluates the integrand, and so S+,
-    once for every line: the integrand finds each point's line from Im k
-    and takes that line's parameters.  Each line's value, err_est and
-    converged flag are summed from its pieces' results in spec order from
-    0j and 0.0, as integrate sums them, so every sample is the same, bit
-    for bit, as from a call of its line alone.  The two truncation-end
-    values f(+-X) of every line take one more integrand call."""
+    Each round of refinement then evaluates the integrand once for every
+    line: the integrand finds each point's line from Im k and takes that
+    line's parameters.  It looks each point inside the line's outermost
+    fixed cut up in the line's S+ memo (_splus_memo, at most 3,538,944
+    bytes) and evaluates S+ in one call only at the points the memo does
+    not hold; the inner ones are filed once the lines are done.  A
+    point's S+ has the same bits in any array (_purepy.splus), so the
+    memo changes no value.  Each line's value, err_est and converged flag
+    are summed from its pieces' results in spec order from 0j and 0.0, as
+    integrate sums them, so every sample is the same, bit for bit, as
+    from a call of its line alone.  The two truncation-end values f(+-X)
+    of every line take one more integrand call."""
     lines = [_line(R, y, rp, eps, tol) for eps in eps_values]
     ay = abs(y)
     heights = [ln.c for ln in lines]
@@ -428,15 +482,46 @@ def _unified_samples(R: float, y: float, rp: ReducedParams,
     params = np.array([(ln.k0e, ln.Ke, ln.k0e * ln.k0e, ln.Ke * ln.Ke)
                        for ln in lines]).T.copy()
 
+    keys = [(rp.a, rp.k0, eps) for eps in eps_values]
+    memo = [_memo_line(key) for key in keys]
+    # (k, S+) of the points S+ was evaluated at; filed after the last
+    # call, as no request meets one node twice
+    found = []
+
     def f(k: np.ndarray) -> np.ndarray:
         which = np.zeros(k.shape, dtype=np.intp)
         for j in range(1, len(heights)):
             which[k.imag == heights[j]] = j
-        return _line_integrand(k, R, ay, rp.a, *params.take(which, axis=1))
+        k0e, Ke, k0e2, Ke2 = params.take(which, axis=1)
+        x = k.real
+        sp = np.empty(k.shape, np.complex128)
+        todo = np.ones(k.shape, dtype=bool)
+        for j, (ln, (held, vals)) in enumerate(zip(lines, memo)):
+            if held.size:
+                idx = np.flatnonzero((which == j) & (x > ln.lo) & (x < ln.hi))
+                xi = x[idx]
+                pos = np.minimum(np.searchsorted(held, xi), held.size - 1)
+                sp[idx] = vals[pos]  # the misses are overwritten below
+                todo[idx] = held[pos] != xi
+        miss = np.flatnonzero(todo)
+        if miss.size == k.size:  # a new line's points: no gather
+            sp = _backend.splus(k, rp.a, k0e, Ke)
+            found.append((k, sp))
+        elif miss.size:
+            km = k[miss]
+            sp[miss] = _backend.splus(km, rp.a, k0e[miss], Ke[miss])
+            found.append((km, sp[miss]))
+        return _line_integrand(k, R, ay, k0e, k0e2, Ke2, sp)
 
     res = integrate(f, *(spec for ln in lines for spec in ln.specs))
     ends = f(np.array([complex(side * ln.X, ln.c) for ln in lines
                        for side in (1.0, -1.0)])).tolist()
+    ks = np.concatenate([k for k, _ in found])
+    sps = np.concatenate([sp for _, sp in found])
+    xs, cs = ks.real.copy(), ks.imag.copy()  # contiguous: faster masks
+    for ln, key, entry in zip(lines, keys, memo):
+        inner = (cs == ln.c) & (xs > ln.lo) & (xs < ln.hi)
+        _memo_file(key, entry, xs[inner], sps[inner])
     samples = []
     first = 0
     for j, ln in enumerate(lines):
@@ -469,9 +554,11 @@ def psi_unified(R: float, y: float, rp: ReducedParams, eps: float = 1e-3,
     The line (-X, X) + ic is cut into about two dozen intervals, graded
     towards -+Re K and -+k0.  They go to one multi-piece ``integrate``
     call as horizontal pieces, which refines each interval to its own
-    share of tol but evaluates the integrand (and so S+) once per
-    refinement round for the whole line; the two truncation-end values
-    f(+-X) take one more integrand call.
+    share of tol but evaluates the integrand once per refinement round
+    for the whole line; the two truncation-end values f(+-X) take one
+    more integrand call.  S+ is evaluated only at the nodes that the S+
+    memo of the line at (a, k0, eps) does not hold: the nodes between the
+    outermost fixed cuts repeat from call to call.
     """
     return _unified_samples(R, y, rp, (eps,), tol)[0]
 
@@ -482,10 +569,12 @@ def psi_unified_extrapolated(R: float, y: float, rp: ReducedParams,
     e0 > e1 > e2 of _EPS_LADDER.
 
     The three lines go to one ``integrate`` call, so each refinement
-    round evaluates the integrand, and S+, once for all of them, and
-    their six truncation-end values take one more call.  Each ladder
-    sample is the same, bit for bit, as psi_unified at its eps, and the
-    same checks raise the same errors.
+    round evaluates the integrand once for all of them, and their six
+    truncation-end values take one more call.  S+ is evaluated only at
+    the nodes the lines' S+ memo does not hold, so a request at a
+    parameter set seen before evaluates it mostly on the two tails to
+    -+X.  Each ladder sample is the same, bit for bit, as psi_unified at
+    its eps, and the same checks raise the same errors.
 
     The first Neville level takes the linear extrapolants of the pairs
     (e0, e1) and (e1, e2); the second combines them over (e1, e2), where

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavecut import _backend
 from wavecut import wavefunction as wf
 from wavecut import wiener_hopf as wh
 from wavecut.model import ReducedParams, reflection
@@ -321,10 +322,74 @@ def _ladder_reference(R, y, rp, tol=1e-7):
                                   (3.0, 0.0)])
 def test_unified_ladder_equals_three_lines(a, k0, R, y):
     # the three lines in one integrate call give what three psi_unified
-    # calls give, bit for bit
+    # calls give, bit for bit, whatever the S+ memo holds: nothing, the
+    # lines of another (R, y), or the lines of another (a, k0)
     rp = ReducedParams.from_a_k0(a, k0)
-    s = psi_unified_extrapolated(R, y, rp)
-    assert (s.psi, s.err_est, s.converged) == _ladder_reference(R, y, rp)
+    other = ReducedParams.from_a_k0(a + 0.25, k0)
+    ref = _ladder_reference(R, y, rp)
+    for warm in (None, lambda: psi_unified_extrapolated(-R / 2, y + 1.0, rp),
+                 lambda: psi_unified_extrapolated(R, y, other)):
+        wf._clear_unified_caches()
+        if warm is not None:
+            warm()
+        s = psi_unified_extrapolated(R, y, rp)
+        assert (s.psi, s.err_est, s.converged) == ref
+    # eps 2e-3 is on no ladder: its own line, filed on the first call
+    first = psi_unified(R, y, rp, eps=2e-3)
+    again = psi_unified(R, y, rp, eps=2e-3)
+    assert (again.psi, again.err_est, again.converged) == (
+        first.psi, first.err_est, first.converged)
+
+
+def test_unified_memo_reuse_and_bound(monkeypatch):
+    # a warm ladder sends at most half the S+ points of a cold one, with
+    # the same integrate evaluations and integrand calls
+    points, evals, calls = [], [], []
+    splus = _backend.splus
+    integrate = wf.integrate
+
+    def counted_splus(k, *args):
+        points[-1] += len(k)
+        return splus(k, *args)
+
+    def counted_integrate(f, *specs):
+        def g(k):
+            calls[-1] += 1
+            return f(k)
+        res = integrate(g, *specs)
+        evals[-1] += res.evaluations
+        return res
+
+    monkeypatch.setattr(_backend, "splus", counted_splus)
+    monkeypatch.setattr(wf, "integrate", counted_integrate)
+    wf._clear_unified_caches()
+    samples = []
+    for _ in range(2):
+        points.append(0)
+        evals.append(0)
+        calls.append(0)
+        samples.append(psi_unified_extrapolated(-6.5, 2.25, RP))
+    assert samples[0] == samples[1]
+    assert points[1] <= points[0] / 2
+    assert evals == [2655 + 3075 + 3375] * 2
+    assert calls == [8, 8]
+    # ladders at more fresh (a, k0) than the memo keeps lines for
+    fresh = [ReducedParams.from_a_k0(0.5 + 0.25 * i, 2.5)
+             for i in range(wf._MEMO_LINES // 3 + 1)]
+    for rp in fresh:
+        psi_unified_extrapolated(3.0, 0.5, rp, tol=1e-5)
+    memo = wf._splus_memo
+    assert len(memo) == wf._MEMO_LINES
+    assert (RP.a, RP.k0, wf._EPS_LADDER[0]) not in memo
+    assert all(x.size <= wf._MEMO_NODES for x, _ in memo.values())
+    assert (sum(x.nbytes + v.nbytes for x, v in memo.values())
+            <= wf._MEMO_LINES * wf._MEMO_NODES * 24 == 3_538_944)
+    # a full line stops filing and keeps giving the same bits
+    monkeypatch.setattr(wf, "_MEMO_NODES", 100)
+    wf._clear_unified_caches()
+    full = [psi_unified_extrapolated(-6.5, 2.25, RP) for _ in range(2)]
+    assert full == samples
+    assert [x.size for x, _ in memo.values()] == [100] * 3
 
 
 def test_unified_residue_unit_incident():

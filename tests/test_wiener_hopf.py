@@ -281,6 +281,14 @@ def test_splus_per_point_parameters_match_scalar_calls():
     assert len(k) > 2 * 1024
     got = _purepy.splus(k, RP.a, k0, Kp)
     assert got.tobytes() == np.concatenate([r[3] for r in runs]).tobytes()
+    # the unified route's S+ memo relies on it: any subset of the points,
+    # here permuted and strided, and single points, give the same bytes
+    perm = rng.permutation(len(k))
+    sub = _purepy.splus(k[perm][::3], RP.a, k0[perm][::3], Kp[perm][::3])
+    assert sub.tobytes() == got[perm][::3].tobytes()
+    for i in perm[:5]:
+        one = _purepy.splus(k[i:i + 1], RP.a, k0[i:i + 1], Kp[i:i + 1])
+        assert one.tobytes() == got[i:i + 1].tobytes()
 
 
 def test_splus_confluence_guard():
