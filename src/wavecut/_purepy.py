@@ -142,9 +142,9 @@ def splus(k: np.ndarray, a: complex, k0, K) -> np.ndarray:
     that give each point its own parameters (the lines of the unified
     eps ladder in one call); each point's value is then the same, bit
     for bit, as from a call with its scalars, and as from a call on any
-    other array holding the point.  The S+ memo of the unified lines
-    (``wavefunction._splus_memo``) relies on this: it evaluates S+ only
-    on the points it does not hold and reuses the stored values.
+    other array holding the point.  The S+ memo of the unified line
+    states (``wavefunction._line_state``) relies on this: it evaluates S+
+    only on the points it does not hold and reuses the stored values.
     """
     k = np.ascontiguousarray(k, dtype=np.complex128)
     out = np.empty_like(k)

@@ -59,6 +59,8 @@ class ReducedParams:
             raise ValueError("decay constant a must be finite and >= 0")
         if not (math.isfinite(k0) and k0 >= 0.0):
             raise ValueError("wavenumber k0 must be finite and >= 0")
+        if a == 0.0 and k0 == 0.0:
+            raise ValueError("a = k0 = 0 gives K = 0: there is no wave")
         return cls(a=float(a), k0=float(k0), K=math.hypot(a, k0))
 
 
@@ -116,8 +118,6 @@ def reflection(rp: ReducedParams) -> float:
 
     Tends to 1 as k0 -> 0 (total reflection) and to 0 as a -> 0.
     """
-    if rp.K == 0.0:
-        return 0.0  # a = k0 = 0: no wave at all
     # (K - k0)^2/K^2 with K - k0 = a^2/(K + k0) to avoid cancellation
     d = rp.a * rp.a / (rp.K + rp.k0)
     return (d / rp.K) ** 2

@@ -112,9 +112,9 @@ def _check_inputs(R, y, tol: float) -> None:
 
 
 def _require_k0(rp: ReducedParams, route: str) -> None:
-    """The unified line, the saddle and the far-field laws need an open
-    branch-cut gap: at k0 = 0 their closed forms divide by k0 or put Ti2
-    on its cut."""
+    """The saddle and the far-field laws, like the unified line
+    (_LineState), need an open branch-cut gap: at k0 = 0 their closed
+    forms divide by k0 or put Ti2 on its cut."""
     if not rp.k0 > 0.0:
         raise ValueError(f"{route} requires k0 > 0")
 
@@ -311,66 +311,70 @@ def psi_atom(R: float, y: float, rp: ReducedParams,
 _EPS_LADDER = (3e-3, 1e-3, 3e-4)
 _RESIDUE_POINTS = 256
 
-
-@functools.lru_cache(maxsize=256)
-def _eps_params(a: float, k0: float, eps: float):
-    """(k0e, Ke, alpha) at Im k0 = eps: k0e = k0 + i eps, Ke =
-    sqrt(k0e^2 + a^2) and the normalization alpha = 2i Ke S+(Ke)/(Ke +
-    k0e).  Memoised: every request of a ladder asks for the same three
-    eps at one (a, k0), and the Ti2 in S+(Ke) is most of the cost.  A test
-    that patches the dilog kernels must clear this cache and the S+ memo
-    of the lines, _splus_memo; _clear_unified_caches() clears both."""
-    k0e = complex(k0, eps)
-    Ke = cmath.sqrt(k0e * k0e + a * a)
-    sKe = (cmath.sqrt((Ke + k0e) / (2.0 * Ke))
-           * cmath.exp(-(1.0 / PI) * ti2(1j * a / Ke)))
-    alpha = 2j * Ke * sKe / (Ke + k0e)
-    return k0e, Ke, alpha
-
-
-# The S+ memo of the unified lines: per line, keyed like _eps_params on
-# (a, k0, eps), the nodes strictly inside its outermost fixed cut, as
-# (Re k sorted ascending, S+ at them).  Those pieces' edges depend only on
-# (a, k0, eps), so every request at one parameter set reuses their nodes;
-# the tails to -+X, which move with R, y and tol, are not kept.  A line
-# keeps at most _MEMO_NODES nodes and stops filing when full; at most
-# _MEMO_LINES lines are kept, the least recently used dropped whole.
-# Worst case 9 * 16384 * (8 + 16) bytes = 3,538,944 bytes (3.4 MiB).
+# The S+ memo of a line state keeps at most _MEMO_NODES nodes and stops
+# filing when full; _line_state keeps at most _MEMO_LINES states, the
+# least recently used dropped whole.  Worst case
+# 9 * 16384 * (8 + 16) bytes = 3,538,944 bytes (3.4 MiB).
 _MEMO_NODES = 16384
 _MEMO_LINES = 9
-_splus_memo: dict = {}
-_MEMO_EMPTY = (np.empty(0), np.empty(0, np.complex128))
 
 
-def _clear_unified_caches() -> None:
-    """Empties _eps_params's cache and the S+ memo of the lines."""
-    _eps_params.cache_clear()
-    _splus_memo.clear()
+class _LineState:
+    """What a unified line takes from (a, k0, eps) alone: k0e = k0 + i
+    eps, Ke = sqrt(k0e^2 + a^2), their Python squares (see
+    _line_integrand), alpha = 2i Ke S+(Ke)/(Ke + k0e), the height c, the
+    fixed cuts, sorted, and the S+ memo: Re k sorted ascending (held) and
+    S+ (vals) at the nodes strictly inside the outermost cuts, whose
+    pieces every request at (a, k0, eps) shares.
+
+    The line must pass strictly between the pole Ke and the branch point
+    k0e, Im Ke < c < eps; at a = 0, where Ke = k0e, or at a so small that
+    either rounds onto the other, ValueError is raised, as for k0 <= 0 or
+    eps <= 0."""
+
+    def __init__(self, a: float, k0: float, eps: float):
+        if not k0 > 0.0:
+            raise ValueError("the unified line requires k0 > 0")
+        if not eps > 0.0:
+            raise ValueError("eps must be positive")
+        k0e = complex(k0, eps)
+        Ke = cmath.sqrt(k0e * k0e + a * a)
+        c = 0.5 * (eps + Ke.imag)
+        if not Ke.imag < c < eps:
+            raise ValueError(f"the unified line at (a, k0, eps) = ({a}, {k0}, "
+                             f"{eps}) cannot separate the pole K from k0: "
+                             "a is too small")
+        sKe = (cmath.sqrt((Ke + k0e) / (2.0 * Ke))
+               * cmath.exp(-(1.0 / PI) * ti2(1j * a / Ke)))
+        self.k0e, self.Ke, self.k0e2, self.Ke2 = k0e, Ke, k0e * k0e, Ke * Ke
+        self.alpha = 2j * Ke * sKe / (Ke + k0e)
+        self.c = c
+        # graded towards -+Re K and -+k0
+        d = max(c - Ke.imag, 1e-9)
+        cuts = []
+        for p in (-Ke.real, -k0, k0, Ke.real):
+            cuts.extend([p - 30 * d, p - 3 * d, p + 3 * d, p + 30 * d,
+                         p - 0.4, p + 0.4])
+        self.cuts = tuple(sorted(set(cuts)))
+        self.held, self.vals = np.empty(0), np.empty(0, np.complex128)
+
+    def file(self, x: np.ndarray, sp: np.ndarray) -> None:
+        """Files the nodes Re k = x, none of them held, with their S+, as
+        many as the line has room for."""
+        if not x.size or self.held.size >= _MEMO_NODES:
+            return
+        x = np.concatenate((self.held, x))[:_MEMO_NODES]
+        sp = np.concatenate((self.vals, sp))[:x.size]
+        # the held keys are one sorted run for the stable sort (a timsort)
+        order = np.argsort(x, kind="stable")
+        self.held, self.vals = x[order], sp[order]
 
 
-def _memo_line(key: tuple) -> tuple:
-    """The (Re k, S+) held for the line at key = (a, k0, eps), empty if
-    the line is new; the line becomes the most recently used."""
-    entry = _splus_memo.pop(key, None)
-    if entry is None:
-        entry = _MEMO_EMPTY
-        if len(_splus_memo) >= _MEMO_LINES:
-            del _splus_memo[next(iter(_splus_memo))]
-    _splus_memo[key] = entry
-    return entry
-
-
-def _memo_file(key: tuple, entry: tuple, x: np.ndarray,
-               sp: np.ndarray) -> None:
-    """Files the nodes Re k = x, none of them in the line's entry, with
-    their S+, as many as the line has room for."""
-    if not x.size or entry[0].size >= _MEMO_NODES:
-        return
-    x = np.concatenate((entry[0], x))[:_MEMO_NODES]
-    sp = np.concatenate((entry[1], sp))[:x.size]
-    # the held keys are one sorted run for the stable sort (a timsort)
-    order = np.argsort(x, kind="stable")
-    _splus_memo[key] = (x[order], sp[order])
+# The line state at (a, k0, eps).  Every request of a ladder asks for the
+# same three eps at one (a, k0), S+(Ke) costs a Ti2, and the memo is what
+# later requests reuse.  A test that patches the S+ or dilog kernels
+# empties the cache with _line_state.cache_clear().
+_line_state = functools.lru_cache(maxsize=_MEMO_LINES)(_LineState)
 
 
 def _line_integrand(k: np.ndarray, R: float, ay: float, k0e, k0e2, Ke2,
@@ -392,71 +396,60 @@ def unified_residue_check(rp: ReducedParams) -> float:
     The residue of the line integrand at k = +K (picked up when the
     contour closes for R > 0) is extracted numerically on a small circle
     around K and must reproduce the unit-amplitude incident pair."""
-    _require_k0(rp, "unified_residue_check")
-    k0e, Ke, alpha = _eps_params(rp.a, rp.k0, _EPS_LADDER[1])
-    r = 0.2 * min(abs(Ke - k0e), abs(Ke))
+    st = _line_state(rp.a, rp.k0, _EPS_LADDER[1])
+    r = 0.2 * min(abs(st.Ke - st.k0e), abs(st.Ke))
     th = (np.arange(_RESIDUE_POINTS) + 0.5) * (2.0 * PI / _RESIDUE_POINTS)
     # at R = 0, y = 0: the e^{-ikR-|y|w} factor at k = K is supplied
     # analytically (the e^{-iKR-a|y|} coefficient)
-    k = Ke + r * np.exp(1j * th)
-    f = _line_integrand(k, 0.0, 0.0, k0e, k0e * k0e, Ke * Ke,
-                        _backend.splus(k, rp.a, k0e, Ke))
+    k = st.Ke + r * np.exp(1j * th)
+    f = _line_integrand(k, 0.0, 0.0, st.k0e, st.k0e2, st.Ke2,
+                        _backend.splus(k, rp.a, st.k0e, st.Ke))
     res = np.mean(f * r * np.exp(1j * th))  # (1/2pi i) contour integral
-    coeff = -1j * rp.a * alpha * res
+    coeff = -1j * rp.a * st.alpha * res
     return abs(coeff - 1.0)
 
 
 class _Line(NamedTuple):
-    """The shifted line of psi_unified at one eps: its pieces on Im k = c,
-    the truncation half-length X, the outermost fixed cuts lo < hi, whose
-    pieces the S+ memo keeps, and the eps parameters."""
+    """One request's line at one eps: its pieces on Im k = c, the
+    truncation half-length X, the outermost fixed cuts lo < hi inside
+    (-X, X), and the line state."""
     specs: tuple
     X: float
-    c: float
     lo: float
     hi: float
-    k0e: complex
-    Ke: complex
-    alpha: complex
+    state: _LineState
 
 
 def _line(R: float, y: float, rp: ReducedParams, eps: float,
           tol: float) -> _Line:
     """Checks psi_unified's inputs and lays out its line at eps.
 
-    The line (-X, X) + ic is cut into about two dozen intervals, graded
-    towards -+Re K and -+k0, each with its share of tol."""
+    The line (-X, X) + ic is cut at the line state's fixed cuts inside
+    (-X, X) into about two dozen intervals, each with its share of tol."""
     if R == 0.0:
         raise ValueError("the two contour closures degenerate at R = 0")
     _check_inputs(R, y, tol)
-    _require_k0(rp, "psi_unified")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    st = _line_state(rp.a, rp.k0, eps)
+    # a bound of the line's quadrature: the residue check, which reads
+    # the state too, integrates on a circle and needs none
     if eps < 2e-5 * max(rp.K, 1.0):
         raise ValueError("eps too small: pole distance below quadrature "
                          "resolution")
     ay = abs(y)
-    k0e, Ke, alpha = _eps_params(rp.a, rp.k0, eps)
-    c = 0.5 * (eps + Ke.imag)
     aR = abs(R)
     X = max(50.0, rp.K + 10.0, (1.0 / (tol * max(aR, 0.3) ** 2)) ** (1.0 / 3.0))
     if ay > 0:
         X = min(X, max(rp.K + 10.0, 45.0 / ay + rp.K))
-    d = max(c - Ke.imag, 1e-9)
-    Kr = Ke.real
-    cuts = []
-    for p in (-Kr, -rp.k0, rp.k0, Kr):
-        cuts.extend([p - 30 * d, p - 3 * d, p + 3 * d, p + 30 * d, p - 0.4,
-                     p + 0.4])
-    edges = sorted({-X, X, *[e for e in cuts if -X < e < X]})
+    edges = [-X, *[e for e in st.cuts if -X < e < X], X]
     # one initial panel per wavelength 2 pi/(|R| + |y| + 1) of
     # e^{-ikR-|y|w}
     width = 2.0 * PI / (aR + ay + 1.0)
+    c = st.c
     specs = tuple(QuadratureSpec(Kind.FINITE, (complex(lo, c), complex(hi, c)),
                                  tol=tol / (len(edges) - 1),
                                  panel_width=width, max_subdivisions=6000)
                   for lo, hi in zip(edges[:-1], edges[1:]))
-    return _Line(specs, X, c, edges[1], edges[-2], k0e, Ke, alpha)
+    return _Line(specs, X, edges[1], edges[-2], st)
 
 
 def _unified_samples(R: float, y: float, rp: ReducedParams,
@@ -466,24 +459,22 @@ def _unified_samples(R: float, y: float, rp: ReducedParams,
     Each round of refinement then evaluates the integrand once for every
     line: the integrand finds each point's line from Im k and takes that
     line's parameters.  It looks each point inside the line's outermost
-    fixed cut up in the line's S+ memo (_splus_memo, at most 3,538,944
-    bytes) and evaluates S+ in one call only at the points the memo does
-    not hold; the inner ones are filed once the lines are done.  A
-    point's S+ has the same bits in any array (_purepy.splus), so the
-    memo changes no value.  Each line's value, err_est and converged flag
-    are summed from its pieces' results in spec order from 0j and 0.0, as
-    integrate sums them, so every sample is the same, bit for bit, as
-    from a call of its line alone.  The two truncation-end values f(+-X)
-    of every line take one more integrand call."""
+    fixed cut up in the S+ memo of the line's state (cached by
+    _line_state; _line_state.cache_clear() empties it) and evaluates S+
+    in one call only at the points the memo does not hold; the inner ones
+    are filed once the lines are done.  A point's S+ has the same bits in
+    any array (_purepy.splus), so the memo changes no value.  Each line's
+    value, err_est and converged flag are summed from its pieces' results
+    in spec order from 0j and 0.0, as integrate sums them, so every
+    sample is the same, bit for bit, as from a call of its line alone.
+    The two truncation-end values f(+-X) of every line take one more
+    integrand call."""
     lines = [_line(R, y, rp, eps, tol) for eps in eps_values]
     ay = abs(y)
-    heights = [ln.c for ln in lines]
+    heights = [ln.state.c for ln in lines]
     # per line: k0e, Ke and their Python squares (see _line_integrand)
-    params = np.array([(ln.k0e, ln.Ke, ln.k0e * ln.k0e, ln.Ke * ln.Ke)
-                       for ln in lines]).T.copy()
-
-    keys = [(rp.a, rp.k0, eps) for eps in eps_values]
-    memo = [_memo_line(key) for key in keys]
+    params = np.array([(st.k0e, st.Ke, st.k0e2, st.Ke2)
+                       for st in (ln.state for ln in lines)]).T.copy()
     # (k, S+) of the points S+ was evaluated at; filed after the last
     # call, as no request meets one node twice
     found = []
@@ -496,7 +487,8 @@ def _unified_samples(R: float, y: float, rp: ReducedParams,
         x = k.real
         sp = np.empty(k.shape, np.complex128)
         todo = np.ones(k.shape, dtype=bool)
-        for j, (ln, (held, vals)) in enumerate(zip(lines, memo)):
+        for j, ln in enumerate(lines):
+            held, vals = ln.state.held, ln.state.vals
             if held.size:
                 idx = np.flatnonzero((which == j) & (x > ln.lo) & (x < ln.hi))
                 xi = x[idx]
@@ -514,14 +506,14 @@ def _unified_samples(R: float, y: float, rp: ReducedParams,
         return _line_integrand(k, R, ay, k0e, k0e2, Ke2, sp)
 
     res = integrate(f, *(spec for ln in lines for spec in ln.specs))
-    ends = f(np.array([complex(side * ln.X, ln.c) for ln in lines
+    ends = f(np.array([complex(side * ln.X, ln.state.c) for ln in lines
                        for side in (1.0, -1.0)])).tolist()
     ks = np.concatenate([k for k, _ in found])
     sps = np.concatenate([sp for _, sp in found])
     xs, cs = ks.real.copy(), ks.imag.copy()  # contiguous: faster masks
-    for ln, key, entry in zip(lines, keys, memo):
-        inner = (cs == ln.c) & (xs > ln.lo) & (xs < ln.hi)
-        _memo_file(key, entry, xs[inner], sps[inner])
+    for ln in lines:
+        inner = (cs == ln.state.c) & (xs > ln.lo) & (xs < ln.hi)
+        ln.state.file(xs[inner], sps[inner])
     samples = []
     first = 0
     for j, ln in enumerate(lines):
@@ -535,7 +527,7 @@ def _unified_samples(R: float, y: float, rp: ReducedParams,
         fX, fmX = ends[2 * j:2 * j + 2]
         total += (fX - fmX) / (1j * R)
         err += (abs(fX) + abs(fmX)) / (R * R * ln.X) * 10.0
-        pref = rp.a * ln.alpha / (2.0 * PI)
+        pref = rp.a * ln.state.alpha / (2.0 * PI)
         samples.append(WaveSample(R, y, pref * total, abs(pref) * err,
                                   Method.UNIFIED_A7,
                                   all(piece.converged for piece in pieces)))
@@ -558,7 +550,10 @@ def psi_unified(R: float, y: float, rp: ReducedParams, eps: float = 1e-3,
     for the whole line; the two truncation-end values f(+-X) take one
     more integrand call.  S+ is evaluated only at the nodes that the S+
     memo of the line at (a, k0, eps) does not hold: the nodes between the
-    outermost fixed cuts repeat from call to call.
+    outermost fixed cuts repeat from call to call.  The memo is part of
+    the line's state, cached by _line_state (the nine most recently used
+    lines); a test that patches the S+ or dilog kernels empties it with
+    _line_state.cache_clear().
     """
     return _unified_samples(R, y, rp, (eps,), tol)[0]
 
@@ -571,7 +566,8 @@ def psi_unified_extrapolated(R: float, y: float, rp: ReducedParams,
     The three lines go to one ``integrate`` call, so each refinement
     round evaluates the integrand once for all of them, and their six
     truncation-end values take one more call.  S+ is evaluated only at
-    the nodes the lines' S+ memo does not hold, so a request at a
+    the nodes the S+ memo of the lines' states (_line_state; emptied by
+    _line_state.cache_clear()) does not hold, so a request at a
     parameter set seen before evaluates it mostly on the two tails to
     -+X.  Each ladder sample is the same, bit for bit, as psi_unified at
     its eps, and the same checks raise the same errors.

@@ -195,6 +195,25 @@ def test_wavefunction_rejects_invalid_input(tmp_path, args):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, match", [
+    (["wavefunction", "--a", "0", "--k0", "2", "--R", "-1:1:2", "--y", "0:1:2",
+      "--method", "unified", "--tol", "1e-4"], "cannot separate the pole K"),
+    (["wavefunction", "--a", "1e-8", "--k0", "0.5", "--R", "-1:1:2", "--y",
+      "0:1:2", "--method", "unified", "--tol", "1e-4"],
+     "cannot separate the pole K"),
+    (["factor", "--a", "0", "--k0", "0", "--at-K"], "K = 0"),
+    (["wavefunction", "--a", "0", "--k0", "0", "--R", "-1:1:2", "--y",
+      "0:1:2"], "K = 0"),
+], ids=["unified-a-zero", "unified-weak", "factor-no-wave",
+        "wavefunction-no-wave"])
+def test_parameters_without_a_route_are_usage_errors(tmp_path, capsys, argv,
+                                                      match):
+    # a typed error before any output, not NaN rows or a division by zero
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert match in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_wavefunction_unified_method(tmp_path):
     # the eps ladder's err_est (5.9e-5 and 4.6e-5 here) exceeds the
     # default tol 1e-6, so no sample is converged and the run exits 3

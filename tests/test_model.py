@@ -57,6 +57,14 @@ def test_from_a_k0_rejects_non_finite(a, k0):
         ReducedParams.from_a_k0(a, k0)
 
 
+def test_from_a_k0_rejects_no_wave():
+    # K = 0 leaves no wave; a = 0 or k0 = 0 alone is allowed
+    with pytest.raises(ValueError, match="K = 0"):
+        ReducedParams.from_a_k0(0.0, 0.0)
+    assert ReducedParams.from_a_k0(0.0, 1.3).K == 1.3
+    assert ReducedParams.from_a_k0(1.3, 0.0).K == 1.3
+
+
 def test_branch_sqrt_anchors():
     # real k beyond the right branch point
     assert branch_sqrt(3.0, RP) == pytest.approx(math.sqrt(5.0))

@@ -92,8 +92,11 @@ def test_splus_oracle_property(a, k0, x, y):
 
 
 def test_j_second_integral_tabulated_value():
-    # at k = 2i the tabulated value is pi Log(1 - i)
-    assert wh.j_second_integral_check(2j, RP) < 1e-9
+    # at k = 2i the tabulated value is pi Log(1 - i), with (k0/k)^2 on the
+    # negative real axis; off the imaginary axis the general branch takes
+    # the principal log (residuals about 1.6e-13)
+    for k in (2j, 1 + 1j, 3.0, -3.0, 0.5 + 0.1j, -1 + 2j):
+        assert wh.j_second_integral_check(k, RP) < 1e-9, k
 
 
 def test_j_real_axis_delta_limit():
