@@ -318,14 +318,27 @@ _RESIDUE_POINTS = 256
 _MEMO_NODES = 16384
 _MEMO_LINES = 9
 
+# the largest c |R| a unified line serves (_line)
+_REACH = 0.1
+
+# The integrand of the unified lines takes at most _BLOCK points at once:
+# a request's first call holds the initial panels of all its lines (up to
+# 15,705 points over the unified workload's pool of seed 1 at tol 1e-7),
+# and the integrand's temporaries take about 190 bytes a point.  A point's
+# value does not depend on its block.
+_BLOCK = 4096
+
 
 class _LineState:
     """What a unified line takes from (a, k0, eps) alone: k0e = k0 + i
     eps, Ke = sqrt(k0e^2 + a^2), their Python squares (see
     _line_integrand), alpha = 2i Ke S+(Ke)/(Ke + k0e), the height c, the
     fixed cuts, sorted, and the S+ memo: Re k sorted ascending (held) and
-    S+ (vals) at the nodes strictly inside the outermost cuts, whose
-    pieces every request at (a, k0, eps) shares.
+    S+ (vals) at nodes of the line.  The cuts are graded towards -+Re K
+    and -+k0 and end at -+E, E the least multiple of 4 beyond the graded
+    ones, where the tails to -+X start on a power-of-two panel grid
+    (_line): every node of a request, tails and truncation ends included,
+    recurs in later requests whose panels have the same width.
 
     The line must pass strictly between the pole Ke and the branch point
     k0e, Im Ke < c < eps; at a = 0, where Ke = k0e, or at a so small that
@@ -355,7 +368,11 @@ class _LineState:
         for p in (-Ke.real, -k0, k0, Ke.real):
             cuts.extend([p - 30 * d, p - 3 * d, p + 3 * d, p + 30 * d,
                          p - 0.4, p + 0.4])
-        self.cuts = tuple(sorted(set(cuts)))
+        # the tails start at -+E, E the least multiple of 4 beyond the
+        # graded cuts: 4 is the widest power-of-two panel width (_line),
+        # so -+E lies on the grid of every width
+        E = 4.0 * (math.floor(max(map(abs, cuts)) / 4.0) + 1.0)
+        self.cuts = tuple(sorted(set(cuts + [-E, E])))
         self.held, self.vals = np.empty(0), np.empty(0, np.complex128)
 
     def file(self, x: np.ndarray, sp: np.ndarray) -> None:
@@ -411,12 +428,9 @@ def unified_residue_check(rp: ReducedParams) -> float:
 
 class _Line(NamedTuple):
     """One request's line at one eps: its pieces on Im k = c, the
-    truncation half-length X, the outermost fixed cuts lo < hi inside
-    (-X, X), and the line state."""
+    truncation half-length X and the line state."""
     specs: tuple
     X: float
-    lo: float
-    hi: float
     state: _LineState
 
 
@@ -425,7 +439,19 @@ def _line(R: float, y: float, rp: ReducedParams, eps: float,
     """Checks psi_unified's inputs and lays out its line at eps.
 
     The line (-X, X) + ic is cut at the line state's fixed cuts inside
-    (-X, X) into about two dozen intervals, each with its share of tol."""
+    (-X, X) into about two dozen intervals, each with its share of tol.
+    The initial panels are one wavelength 2 pi/(|R| + |y| + 1) of
+    e^{-ikR-|y|w} wide, rounded down to a power of two (at most 4), and X
+    is rounded up to a multiple of that width.  The tails (-X, -E) and
+    (E, X) then split into panels of exactly that width, with edges on
+    the grid of its multiples, and so does every bisection of them: a
+    tail node has the same Re k in every request with the same width,
+    whatever X is, and the S+ memo of the line state serves it.
+
+    The line's O(c |R|) bias outgrows any err_est at large |R|, and its
+    e^{c|R|} overflows beyond |R| ~ 709/c, so |R| > 0.1/c raises
+    ValueError: |R| > 35 on the ladder's eps = 3e-3 line at (a, k0) =
+    (1, 2), |R| > 105 at eps = 1e-3."""
     if R == 0.0:
         raise ValueError("the two contour closures degenerate at R = 0")
     _check_inputs(R, y, tol)
@@ -437,19 +463,24 @@ def _line(R: float, y: float, rp: ReducedParams, eps: float,
                          "resolution")
     ay = abs(y)
     aR = abs(R)
+    if st.c * aR > _REACH:
+        raise ValueError(f"|R| = {aR:g} is beyond the unified line's reach "
+                         f"{_REACH / st.c:.4g} at (a, k0, eps) = ({rp.a}, "
+                         f"{rp.k0}, {eps}): its O(c |R|) bias would exceed "
+                         "err_est")
     X = max(50.0, rp.K + 10.0, (1.0 / (tol * max(aR, 0.3) ** 2)) ** (1.0 / 3.0))
     if ay > 0:
         X = min(X, max(rp.K + 10.0, 45.0 / ay + rp.K))
+    # 2**floor(log2(wavelength)), exactly
+    width = math.ldexp(1.0, math.frexp(2.0 * PI / (aR + ay + 1.0))[1] - 1)
+    X = width * math.ceil(X / width)
     edges = [-X, *[e for e in st.cuts if -X < e < X], X]
-    # one initial panel per wavelength 2 pi/(|R| + |y| + 1) of
-    # e^{-ikR-|y|w}
-    width = 2.0 * PI / (aR + ay + 1.0)
     c = st.c
     specs = tuple(QuadratureSpec(Kind.FINITE, (complex(lo, c), complex(hi, c)),
                                  tol=tol / (len(edges) - 1),
                                  panel_width=width, max_subdivisions=6000)
                   for lo, hi in zip(edges[:-1], edges[1:]))
-    return _Line(specs, X, edges[1], edges[-2], st)
+    return _Line(specs, X, st)
 
 
 def _unified_samples(R: float, y: float, rp: ReducedParams,
@@ -457,18 +488,19 @@ def _unified_samples(R: float, y: float, rp: ReducedParams,
     """psi_unified at each eps, all lines in one integrate call.
 
     Each round of refinement then evaluates the integrand once for every
-    line: the integrand finds each point's line from Im k and takes that
-    line's parameters.  It looks each point inside the line's outermost
-    fixed cut up in the S+ memo of the line's state (cached by
+    line, in blocks of at most _BLOCK points: the integrand finds each
+    point's line from Im k and takes that line's parameters.  It looks
+    every point up in the S+ memo of the line's state (cached by
     _line_state; _line_state.cache_clear() empties it) and evaluates S+
-    in one call only at the points the memo does not hold; the inner ones
-    are filed once the lines are done.  A point's S+ has the same bits in
-    any array (_purepy.splus), so the memo changes no value.  Each line's
-    value, err_est and converged flag are summed from its pieces' results
-    in spec order from 0j and 0.0, as integrate sums them, so every
-    sample is the same, bit for bit, as from a call of its line alone.
-    The two truncation-end values f(+-X) of every line take one more
-    integrand call."""
+    in one call only at the points the memo does not hold; those are
+    filed once the lines are done, truncation ends included, and a
+    request the memo serves whole files nothing.  A point's S+ has the
+    same bits in any array (_purepy.splus), so the memo changes no value.
+    Each line's value, err_est and converged flag are summed from its
+    pieces' results in spec order from 0j and 0.0, as integrate sums
+    them, so every sample is the same, bit for bit, as from a call of its
+    line alone.  The two truncation-end values f(+-X) of every line take
+    one more integrand call."""
     lines = [_line(R, y, rp, eps, tol) for eps in eps_values]
     ay = abs(y)
     heights = [ln.state.c for ln in lines]
@@ -479,7 +511,7 @@ def _unified_samples(R: float, y: float, rp: ReducedParams,
     # call, as no request meets one node twice
     found = []
 
-    def f(k: np.ndarray) -> np.ndarray:
+    def block(k: np.ndarray) -> np.ndarray:
         which = np.zeros(k.shape, dtype=np.intp)
         for j in range(1, len(heights)):
             which[k.imag == heights[j]] = j
@@ -490,7 +522,7 @@ def _unified_samples(R: float, y: float, rp: ReducedParams,
         for j, ln in enumerate(lines):
             held, vals = ln.state.held, ln.state.vals
             if held.size:
-                idx = np.flatnonzero((which == j) & (x > ln.lo) & (x < ln.hi))
+                idx = np.flatnonzero(which == j)
                 xi = x[idx]
                 pos = np.minimum(np.searchsorted(held, xi), held.size - 1)
                 sp[idx] = vals[pos]  # the misses are overwritten below
@@ -505,15 +537,22 @@ def _unified_samples(R: float, y: float, rp: ReducedParams,
             found.append((km, sp[miss]))
         return _line_integrand(k, R, ay, k0e, k0e2, Ke2, sp)
 
+    def f(k: np.ndarray) -> np.ndarray:
+        if k.size <= _BLOCK:
+            return block(k)
+        return np.concatenate([block(k[i:i + _BLOCK])
+                               for i in range(0, k.size, _BLOCK)])
+
     res = integrate(f, *(spec for ln in lines for spec in ln.specs))
     ends = f(np.array([complex(side * ln.X, ln.state.c) for ln in lines
                        for side in (1.0, -1.0)])).tolist()
-    ks = np.concatenate([k for k, _ in found])
-    sps = np.concatenate([sp for _, sp in found])
-    xs, cs = ks.real.copy(), ks.imag.copy()  # contiguous: faster masks
-    for ln in lines:
-        inner = (cs == ln.state.c) & (xs > ln.lo) & (xs < ln.hi)
-        ln.state.file(xs[inner], sps[inner])
+    if found:  # a request the memo serves whole evaluates no S+
+        ks = np.concatenate([k for k, _ in found])
+        sps = np.concatenate([sp for _, sp in found])
+        xs, cs = ks.real.copy(), ks.imag.copy()  # contiguous: faster masks
+        for ln in lines:
+            on = cs == ln.state.c
+            ln.state.file(xs[on], sps[on])
     samples = []
     first = 0
     for j, ln in enumerate(lines):
@@ -549,11 +588,18 @@ def psi_unified(R: float, y: float, rp: ReducedParams, eps: float = 1e-3,
     share of tol but evaluates the integrand once per refinement round
     for the whole line; the two truncation-end values f(+-X) take one
     more integrand call.  S+ is evaluated only at the nodes that the S+
-    memo of the line at (a, k0, eps) does not hold: the nodes between the
-    outermost fixed cuts repeat from call to call.  The memo is part of
-    the line's state, cached by _line_state (the nine most recently used
-    lines); a test that patches the S+ or dilog kernels empties it with
-    _line_state.cache_clear().
+    memo of the line at (a, k0, eps) does not hold.  The tails beyond the
+    last fixed cuts -+E start on a power-of-two panel grid, so every node
+    of the line, tails included, repeats in later calls whose panels have
+    the same width, 2 pi/(|R| + |y| + 1) rounded down to a power of two.
+    The memo is part of the line's state, cached by _line_state (the
+    nine most recently used lines); a test that patches the S+ or dilog
+    kernels empties it with _line_state.cache_clear().
+
+    |R| > 0.1/c raises ValueError, c the line's height (about 0.95 eps
+    at (a, k0) = (1, 2), so |R| > 105 at eps = 1e-3): beyond it the
+    line's O(c |R|) bias outgrows err_est, and its e^{c|R|} overflows
+    beyond |R| ~ 709/c.
     """
     return _unified_samples(R, y, rp, (eps,), tol)[0]
 
@@ -567,10 +613,13 @@ def psi_unified_extrapolated(R: float, y: float, rp: ReducedParams,
     round evaluates the integrand once for all of them, and their six
     truncation-end values take one more call.  S+ is evaluated only at
     the nodes the S+ memo of the lines' states (_line_state; emptied by
-    _line_state.cache_clear()) does not hold, so a request at a
-    parameter set seen before evaluates it mostly on the two tails to
-    -+X.  Each ladder sample is the same, bit for bit, as psi_unified at
-    its eps, and the same checks raise the same errors.
+    _line_state.cache_clear()) does not hold.  The memo covers whole
+    lines, tails included, so a request at a parameter set seen before
+    whose panel width (see psi_unified) has been seen too evaluates S+ at
+    few points or none.  Each ladder sample is the same, bit for bit, as
+    psi_unified at its eps, and the same checks raise the same errors:
+    the eps = 3e-3 line, the highest, sets the |R| bound, |R| <= 35 at
+    (a, k0) = (1, 2).
 
     The first Neville level takes the linear extrapolants of the pairs
     (e0, e1) and (e1, e2); the second combines them over (e1, e2), where

@@ -201,10 +201,12 @@ def test_wavefunction_rejects_invalid_input(tmp_path, args):
     (["wavefunction", "--a", "1e-8", "--k0", "0.5", "--R", "-1:1:2", "--y",
       "0:1:2", "--method", "unified", "--tol", "1e-4"],
      "cannot separate the pole K"),
+    (["wavefunction", "--R", "3e5:3e5:1", "--y", "0.5:0.5:1", "--method",
+      "unified", "--tol", "1e-4"], "beyond the unified line's reach"),
     (["factor", "--a", "0", "--k0", "0", "--at-K"], "K = 0"),
     (["wavefunction", "--a", "0", "--k0", "0", "--R", "-1:1:2", "--y",
       "0:1:2"], "K = 0"),
-], ids=["unified-a-zero", "unified-weak", "factor-no-wave",
+], ids=["unified-a-zero", "unified-weak", "unified-far", "factor-no-wave",
         "wavefunction-no-wave"])
 def test_parameters_without_a_route_are_usage_errors(tmp_path, capsys, argv,
                                                       match):

@@ -229,9 +229,9 @@ def test_unified_line_pieces_batch_exactly(monkeypatch, R, y, eps):
 
 
 def test_unified_ladder_is_one_call(monkeypatch):
-    # the three lines of the eps ladder (75 pieces here) share one call:
+    # the three lines of the eps ladder (81 pieces here) share one call:
     # 8 integrand calls, as many as the slowest line takes alone (5, 7
-    # and 8 at eps 3e-3, 1e-3, 3e-4), and the 9,105 evaluations of the
+    # and 8 at eps 3e-3, 1e-3, 3e-4), and the 10,005 evaluations of the
     # three lines
     from wavecut import wavefunction as wf
     from wavecut.model import ReducedParams
@@ -241,11 +241,11 @@ def test_unified_ladder_is_one_call(monkeypatch):
                            lambda: wf.psi_unified_extrapolated(-6.5, 2.25, rp))
     assert len(seen) == 1
     f, specs = seen[0]
-    assert len(specs) == 75
+    assert len(specs) == 81
     assert len({spec.height for spec in specs}) == 3
     calls, _ = _assert_pieces_batch_exactly(f, specs)
     assert calls == 8
-    assert integrate(f, *specs).evaluations == 2655 + 3075 + 3375
+    assert integrate(f, *specs).evaluations == 2955 + 3375 + 3675
 
 
 @pytest.mark.parametrize("a, k0, k", [(1.0, 2.0, 1.0 + 0.5j),
@@ -422,13 +422,13 @@ def _golden_cases():
 _GOLDEN = {
     'unified-eps0.003': (
         '(1.1243044720554267-1.6712569461338518j)',
-        '1.2625709833205596e-08', 2655, True, 5),
+        '1.1710527776627777e-08', 2955, True, 5),
     'unified-eps0.001': (
-        '(1.1394242479293573-1.6939675234818647j)',
-        '1.03075712389375e-08', 3075, True, 7),
+        '(1.1394242479293573-1.693967523481865j)',
+        '9.380622890967875e-09', 3375, True, 7),
     'unified-eps0.0003': (
-        '(1.1447641828762398-1.7019890845281682j)',
-        '1.6856119858445605e-08', 3375, True, 8),
+        '(1.1447641828762394-1.7019890845281687j)',
+        '1.5925020018066877e-08', 3675, True, 8),
     'j_axis': (
         '(-0.3653993005256289+0.35663776945786063j)',
         '1.0725134151012114e-10', 510, True, 3),
