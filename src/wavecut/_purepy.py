@@ -129,7 +129,7 @@ def dilog(z: np.ndarray) -> np.ndarray:
     return np.where(m_dir, b, rest - b)
 
 
-def splus(k: np.ndarray, a: complex, k0, K) -> np.ndarray:
+def splus(k: np.ndarray, a: complex, k0: complex, K: complex) -> np.ndarray:
     """Wiener-Hopf plus factor of the modified kernel on a 1-D array.
 
     S+(k) = sqrt((k+k0)/(k+K)) * exp[-(Ti2(z+) - Ti2(z-)) / pi],
@@ -138,26 +138,21 @@ def splus(k: np.ndarray, a: complex, k0, K) -> np.ndarray:
     inner root gives the same value.  The four dilogarithms of the two
     Ti2 go into one ``dilog`` call per block of ``_SPLUS_BLOCK`` points.
 
-    ``k0`` and ``K`` are scalars, or complex128 arrays shaped like ``k``
-    that give each point its own parameters (the lines of the unified
-    eps ladder in one call); each point's value is then the same, bit
-    for bit, as from a call with its scalars, and as from a call on any
-    other array holding the point.  The S+ memo of the unified line
-    states (``wavefunction._line_state``) relies on this: it evaluates S+
-    only on the points it does not hold and reuses the stored values.
+    ``a``, ``k0`` and ``K`` are scalars, so each point's value has the
+    same bits in any array that holds it: the S+ memo of the unified
+    lines (``wavefunction._LineState``) relies on this.
     """
     k = np.ascontiguousarray(k, dtype=np.complex128)
     out = np.empty_like(k)
     for s in range(0, k.size, _SPLUS_BLOCK):
         b = slice(s, s + _SPLUS_BLOCK)
         kb = k[b]
-        k0b = k0[b] if isinstance(k0, np.ndarray) else k0
-        denom = (K[b] if isinstance(K, np.ndarray) else K) + kb
-        w = np.sqrt(kb - k0b) * np.sqrt(kb + k0b)
+        denom = K + kb
+        w = np.sqrt(kb - k0) * np.sqrt(kb + k0)
         zp = 1j * (w + a) / denom
         zm = 1j * (w - a) / denom
         d = dilog(np.concatenate((1j * zp, -1j * zp, 1j * zm, -1j * zm)))
         d = d.reshape(4, kb.size)
         expo = -((d[0] - d[1]) / 2j - (d[2] - d[3]) / 2j) / np.pi
-        out[b] = np.sqrt((kb + k0b) / denom) * np.exp(expo)
+        out[b] = np.sqrt((kb + k0) / denom) * np.exp(expo)
     return out

@@ -206,8 +206,6 @@ def cmd_wavefunction(args) -> int:
     cfg = resolve_config(args)
     R_vals = parse_grid(args.R)
     y_vals = parse_grid(args.y)
-    if np.any(R_vals == 0.0):
-        raise UsageError("R grid must exclude the region boundary R = 0")
     method = _METHODS[args.method or "regional"]
     grid = scan_grid(R_vals, y_vals, cfg.params, tol=cfg.tol, method=method)
     path = _outfile(cfg, "wavefunction")

@@ -318,27 +318,32 @@ _RESIDUE_POINTS = 256
 _MEMO_NODES = 16384
 _MEMO_LINES = 9
 
-# the largest c |R| a unified line serves (_line)
+# the largest c max(|R|, |y|) a unified line serves (_line)
 _REACH = 0.1
-
-# The integrand of the unified lines takes at most _BLOCK points at once:
-# a request's first call holds the initial panels of all its lines (up to
-# 15,705 points over the unified workload's pool of seed 1 at tol 1e-7),
-# and the integrand's temporaries take about 190 bytes a point.  A point's
-# value does not depend on its block.
-_BLOCK = 4096
 
 
 class _LineState:
-    """What a unified line takes from (a, k0, eps) alone: k0e = k0 + i
+    """What a unified line takes from (a, k0, eps) alone: a, k0e = k0 + i
     eps, Ke = sqrt(k0e^2 + a^2), their Python squares (see
     _line_integrand), alpha = 2i Ke S+(Ke)/(Ke + k0e), the height c, the
-    fixed cuts, sorted, and the S+ memo: Re k sorted ascending (held) and
-    S+ (vals) at nodes of the line.  The cuts are graded towards -+Re K
-    and -+k0 and end at -+E, E the least multiple of 4 beyond the graded
-    ones, where the tails to -+X start on a power-of-two panel grid
-    (_line): every node of a request, tails and truncation ends included,
-    recurs in later requests whose panels have the same width.
+    fixed cuts, sorted, and the S+ memo.
+
+    The cuts are graded towards -+Re K and -+k0 and end at -+E, E the
+    least multiple of 4 beyond the graded ones.  A request's line (_line)
+    runs to the truncation ends -+X.  Its initial panels are one
+    wavelength 2 pi/(|R| + |y| + 1) of e^{-ikR-|y|w} wide, rounded down
+    to a power of two (at most 4), and X is rounded up to a multiple of
+    that width.  The tails (-X, -E) and (E, X) then split into panels of
+    exactly that width, with edges on the grid of its multiples, and so
+    does every bisection of them.  So every node of a request, tails and
+    truncation ends included, has the same Re k in every later request
+    whose panels have the same width, whatever X is.
+
+    The memo holds Re k, sorted ascending (held), and S+ (vals) at nodes
+    of the line.  splus reads the held nodes and evaluates S+ at the
+    others; file stores those once the request is done, as no request
+    meets one node twice.  A point's S+ has the same bits in any array
+    (_purepy.splus), so the memo changes no value.
 
     The line must pass strictly between the pole Ke and the branch point
     k0e, Im Ke < c < eps; at a = 0, where Ke = k0e, or at a so small that
@@ -359,7 +364,8 @@ class _LineState:
                              "a is too small")
         sKe = (cmath.sqrt((Ke + k0e) / (2.0 * Ke))
                * cmath.exp(-(1.0 / PI) * ti2(1j * a / Ke)))
-        self.k0e, self.Ke, self.k0e2, self.Ke2 = k0e, Ke, k0e * k0e, Ke * Ke
+        self.a, self.k0e, self.Ke = a, k0e, Ke
+        self.k0e2, self.Ke2 = k0e * k0e, Ke * Ke
         self.alpha = 2j * Ke * sKe / (Ke + k0e)
         self.c = c
         # graded towards -+Re K and -+k0
@@ -375,13 +381,31 @@ class _LineState:
         self.cuts = tuple(sorted(set(cuts + [-E, E])))
         self.held, self.vals = np.empty(0), np.empty(0, np.complex128)
 
-    def file(self, x: np.ndarray, sp: np.ndarray) -> None:
-        """Files the nodes Re k = x, none of them held, with their S+, as
-        many as the line has room for."""
-        if not x.size or self.held.size >= _MEMO_NODES:
+    def splus(self, k: np.ndarray, found: list) -> np.ndarray:
+        """S+ at the points k of the line: the memo's values where it
+        holds Re k, and one _backend.splus call at the others, whose
+        (Re k, S+) are appended to found."""
+        x = k.real
+        held = self.held
+        if held.size:
+            pos = np.minimum(np.searchsorted(held, x), held.size - 1)
+            sp = self.vals[pos]  # the misses are overwritten below
+            miss = np.flatnonzero(held[pos] != x)
+        else:
+            sp = np.empty(k.shape, np.complex128)
+            miss = np.arange(k.size)
+        if miss.size:
+            sp[miss] = spm = _backend.splus(k[miss], self.a, self.k0e, self.Ke)
+            found.append((x[miss], spm))
+        return sp
+
+    def file(self, found: list) -> None:
+        """Files the (Re k, S+) pairs of found, none of them held, as many
+        as the line has room for."""
+        if not found or self.held.size >= _MEMO_NODES:
             return
-        x = np.concatenate((self.held, x))[:_MEMO_NODES]
-        sp = np.concatenate((self.vals, sp))[:x.size]
+        x = np.concatenate([self.held, *(x for x, _ in found)])[:_MEMO_NODES]
+        sp = np.concatenate([self.vals, *(sp for _, sp in found)])[:x.size]
         # the held keys are one sorted run for the stable sort (a timsort)
         order = np.argsort(x, kind="stable")
         self.held, self.vals = x[order], sp[order]
@@ -394,17 +418,16 @@ class _LineState:
 _line_state = functools.lru_cache(maxsize=_MEMO_LINES)(_LineState)
 
 
-def _line_integrand(k: np.ndarray, R: float, ay: float, k0e, k0e2, Ke2,
+def _line_integrand(k: np.ndarray, R: float, ay: float, st: _LineState,
                     sp: np.ndarray) -> np.ndarray:
-    """(k + k0)/w e^{-ikR-|y|w} / ((k^2 - K^2) S+(k)) at the eps-shifted
+    """(k + k0)/w e^{-ikR-|y|w} / ((k^2 - K^2) S+(k)) at the line state's
     k0e, Ke, with w = sqrt(k^2 - k0e^2) on principal roots and sp =
-    S+(k) at k0e, Ke.  k0e and the squares k0e2, Ke2 are scalars or arrays
-    shaped like k; the squares are Python's, formed once per line and
-    repeated, because NumPy's complex multiply can differ from Python's in
-    the last bit."""
-    w = np.sqrt(k * k - k0e2)
-    return (k + k0e) / w * np.exp(-1j * k * R - ay * w) / (
-        (k * k - Ke2) * sp)
+    S+(k) at k0e, Ke.  The squares k0e2, Ke2 are Python's, formed once
+    per line, because NumPy's complex multiply can differ from Python's
+    in the last bit."""
+    w = np.sqrt(k * k - st.k0e2)
+    return (k + st.k0e) / w * np.exp(-1j * k * R - ay * w) / (
+        (k * k - st.Ke2) * sp)
 
 
 def unified_residue_check(rp: ReducedParams) -> float:
@@ -419,7 +442,7 @@ def unified_residue_check(rp: ReducedParams) -> float:
     # at R = 0, y = 0: the e^{-ikR-|y|w} factor at k = K is supplied
     # analytically (the e^{-iKR-a|y|} coefficient)
     k = st.Ke + r * np.exp(1j * th)
-    f = _line_integrand(k, 0.0, 0.0, st.k0e, st.k0e2, st.Ke2,
+    f = _line_integrand(k, 0.0, 0.0, st,
                         _backend.splus(k, rp.a, st.k0e, st.Ke))
     res = np.mean(f * r * np.exp(1j * th))  # (1/2pi i) contour integral
     coeff = -1j * rp.a * st.alpha * res
@@ -439,19 +462,15 @@ def _line(R: float, y: float, rp: ReducedParams, eps: float,
     """Checks psi_unified's inputs and lays out its line at eps.
 
     The line (-X, X) + ic is cut at the line state's fixed cuts inside
-    (-X, X) into about two dozen intervals, each with its share of tol.
-    The initial panels are one wavelength 2 pi/(|R| + |y| + 1) of
-    e^{-ikR-|y|w} wide, rounded down to a power of two (at most 4), and X
-    is rounded up to a multiple of that width.  The tails (-X, -E) and
-    (E, X) then split into panels of exactly that width, with edges on
-    the grid of its multiples, and so does every bisection of them: a
-    tail node has the same Re k in every request with the same width,
-    whatever X is, and the S+ memo of the line state serves it.
+    (-X, X) into about two dozen intervals, each with its share of tol,
+    on initial panels of a power-of-two width with X a multiple of it
+    (_LineState tells why).
 
-    The line's O(c |R|) bias outgrows any err_est at large |R|, and its
-    e^{c|R|} overflows beyond |R| ~ 709/c, so |R| > 0.1/c raises
-    ValueError: |R| > 35 on the ladder's eps = 3e-3 line at (a, k0) =
-    (1, 2), |R| > 105 at eps = 1e-3."""
+    The line's bias grows like c |R| through e^{-ikR} and like c |y|
+    through e^{-|y|w}; it outgrows any err_est far out, and e^{c|R|}
+    overflows beyond |R| ~ 709/c.  So c max(|R|, |y|) > 0.1 raises
+    ValueError naming the coordinate: |R| or |y| > 35.19 on the ladder's
+    eps = 3e-3 line at (a, k0) = (1, 2), > 105.6 at eps = 1e-3."""
     if R == 0.0:
         raise ValueError("the two contour closures degenerate at R = 0")
     _check_inputs(R, y, tol)
@@ -463,11 +482,12 @@ def _line(R: float, y: float, rp: ReducedParams, eps: float,
                          "resolution")
     ay = abs(y)
     aR = abs(R)
-    if st.c * aR > _REACH:
-        raise ValueError(f"|R| = {aR:g} is beyond the unified line's reach "
+    if st.c * max(aR, ay) > _REACH:
+        name, v = ("|y|", ay) if ay > aR else ("|R|", aR)
+        raise ValueError(f"{name} = {v:g} is beyond the unified line's reach "
                          f"{_REACH / st.c:.4g} at (a, k0, eps) = ({rp.a}, "
-                         f"{rp.k0}, {eps}): its O(c |R|) bias would exceed "
-                         "err_est")
+                         f"{rp.k0}, {eps}): its O(c {name}) bias would "
+                         "exceed err_est")
     X = max(50.0, rp.K + 10.0, (1.0 / (tol * max(aR, 0.3) ** 2)) ** (1.0 / 3.0))
     if ay > 0:
         X = min(X, max(rp.K + 10.0, 45.0 / ay + rp.K))
@@ -487,72 +507,33 @@ def _unified_samples(R: float, y: float, rp: ReducedParams,
                      eps_values: Sequence[float], tol: float) -> list:
     """psi_unified at each eps, all lines in one integrate call.
 
-    Each round of refinement then evaluates the integrand once for every
-    line, in blocks of at most _BLOCK points: the integrand finds each
-    point's line from Im k and takes that line's parameters.  It looks
-    every point up in the S+ memo of the line's state (cached by
-    _line_state; _line_state.cache_clear() empties it) and evaluates S+
-    in one call only at the points the memo does not hold; those are
-    filed once the lines are done, truncation ends included, and a
-    request the memo serves whole files nothing.  A point's S+ has the
-    same bits in any array (_purepy.splus), so the memo changes no value.
-    Each line's value, err_est and converged flag are summed from its
-    pieces' results in spec order from 0j and 0.0, as integrate sums
-    them, so every sample is the same, bit for bit, as from a call of its
-    line alone.  The two truncation-end values f(+-X) of every line take
-    one more integrand call."""
+    Each round of refinement evaluates the integrand once for every line.
+    The integrand takes each line's points by Im k = c and their S+ from
+    the line's state (_LineState.splus, which reads the S+ memo); the
+    misses of each line are filed once the lines are done, truncation
+    ends included.  Each line's value, err_est and converged flag are
+    summed from its pieces' results in spec order from 0j and 0.0, as
+    integrate sums them, so every sample is the same, bit for bit, as
+    from a call of its line alone.  The two truncation-end values f(+-X)
+    of every line take one more integrand call."""
     lines = [_line(R, y, rp, eps, tol) for eps in eps_values]
     ay = abs(y)
-    heights = [ln.state.c for ln in lines]
-    # per line: k0e, Ke and their Python squares (see _line_integrand)
-    params = np.array([(st.k0e, st.Ke, st.k0e2, st.Ke2)
-                       for st in (ln.state for ln in lines)]).T.copy()
-    # (k, S+) of the points S+ was evaluated at; filed after the last
-    # call, as no request meets one node twice
-    found = []
-
-    def block(k: np.ndarray) -> np.ndarray:
-        which = np.zeros(k.shape, dtype=np.intp)
-        for j in range(1, len(heights)):
-            which[k.imag == heights[j]] = j
-        k0e, Ke, k0e2, Ke2 = params.take(which, axis=1)
-        x = k.real
-        sp = np.empty(k.shape, np.complex128)
-        todo = np.ones(k.shape, dtype=bool)
-        for j, ln in enumerate(lines):
-            held, vals = ln.state.held, ln.state.vals
-            if held.size:
-                idx = np.flatnonzero(which == j)
-                xi = x[idx]
-                pos = np.minimum(np.searchsorted(held, xi), held.size - 1)
-                sp[idx] = vals[pos]  # the misses are overwritten below
-                todo[idx] = held[pos] != xi
-        miss = np.flatnonzero(todo)
-        if miss.size == k.size:  # a new line's points: no gather
-            sp = _backend.splus(k, rp.a, k0e, Ke)
-            found.append((k, sp))
-        elif miss.size:
-            km = k[miss]
-            sp[miss] = _backend.splus(km, rp.a, k0e[miss], Ke[miss])
-            found.append((km, sp[miss]))
-        return _line_integrand(k, R, ay, k0e, k0e2, Ke2, sp)
+    found = [[] for _ in lines]  # per line, the S+ misses to file
 
     def f(k: np.ndarray) -> np.ndarray:
-        if k.size <= _BLOCK:
-            return block(k)
-        return np.concatenate([block(k[i:i + _BLOCK])
-                               for i in range(0, k.size, _BLOCK)])
+        out = np.empty(k.shape, np.complex128)
+        for ln, miss in zip(lines, found):
+            on = k.imag == ln.state.c
+            kl = k[on]
+            out[on] = _line_integrand(kl, R, ay, ln.state,
+                                      ln.state.splus(kl, miss))
+        return out
 
     res = integrate(f, *(spec for ln in lines for spec in ln.specs))
     ends = f(np.array([complex(side * ln.X, ln.state.c) for ln in lines
                        for side in (1.0, -1.0)])).tolist()
-    if found:  # a request the memo serves whole evaluates no S+
-        ks = np.concatenate([k for k, _ in found])
-        sps = np.concatenate([sp for _, sp in found])
-        xs, cs = ks.real.copy(), ks.imag.copy()  # contiguous: faster masks
-        for ln in lines:
-            on = cs == ln.state.c
-            ln.state.file(xs[on], sps[on])
+    for ln, miss in zip(lines, found):
+        ln.state.file(miss)
     samples = []
     first = 0
     for j, ln in enumerate(lines):
@@ -582,24 +563,20 @@ def psi_unified(R: float, y: float, rp: ReducedParams, eps: float = 1e-3,
     the line-to-pole distance shrinks like 0.05 eps and the quadrature
     can no longer resolve the pole spike.
 
-    The line (-X, X) + ic is cut into about two dozen intervals, graded
-    towards -+Re K and -+k0.  They go to one multi-piece ``integrate``
-    call as horizontal pieces, which refines each interval to its own
-    share of tol but evaluates the integrand once per refinement round
-    for the whole line; the two truncation-end values f(+-X) take one
-    more integrand call.  S+ is evaluated only at the nodes that the S+
-    memo of the line at (a, k0, eps) does not hold.  The tails beyond the
-    last fixed cuts -+E start on a power-of-two panel grid, so every node
-    of the line, tails included, repeats in later calls whose panels have
-    the same width, 2 pi/(|R| + |y| + 1) rounded down to a power of two.
-    The memo is part of the line's state, cached by _line_state (the
-    nine most recently used lines); a test that patches the S+ or dilog
-    kernels empties it with _line_state.cache_clear().
+    The line (-X, X) + ic is cut into about two dozen intervals (_line),
+    which go to one multi-piece ``integrate`` call as horizontal pieces:
+    each is refined to its own share of tol, but the integrand is
+    evaluated once per refinement round for the whole line, and the two
+    truncation-end values f(+-X) take one more call.  S+ comes from the
+    cached state of the line at (a, k0, eps), whose memo covers the
+    whole line (_LineState, _line_state: the nine most recently used
+    lines); a test that patches the S+ or dilog kernels empties it with
+    _line_state.cache_clear().
 
-    |R| > 0.1/c raises ValueError, c the line's height (about 0.95 eps
-    at (a, k0) = (1, 2), so |R| > 105 at eps = 1e-3): beyond it the
-    line's O(c |R|) bias outgrows err_est, and its e^{c|R|} overflows
-    beyond |R| ~ 709/c.
+    c max(|R|, |y|) > 0.1 raises ValueError, c the line's height (about
+    0.95 eps at (a, k0) = (1, 2), so |R| or |y| > 105.6 at eps = 1e-3):
+    beyond it the line's bias outgrows err_est, and its e^{c|R|}
+    overflows beyond |R| ~ 709/c.
     """
     return _unified_samples(R, y, rp, (eps,), tol)[0]
 
@@ -611,15 +588,12 @@ def psi_unified_extrapolated(R: float, y: float, rp: ReducedParams,
 
     The three lines go to one ``integrate`` call, so each refinement
     round evaluates the integrand once for all of them, and their six
-    truncation-end values take one more call.  S+ is evaluated only at
-    the nodes the S+ memo of the lines' states (_line_state; emptied by
-    _line_state.cache_clear()) does not hold.  The memo covers whole
-    lines, tails included, so a request at a parameter set seen before
-    whose panel width (see psi_unified) has been seen too evaluates S+ at
-    few points or none.  Each ladder sample is the same, bit for bit, as
-    psi_unified at its eps, and the same checks raise the same errors:
-    the eps = 3e-3 line, the highest, sets the |R| bound, |R| <= 35 at
-    (a, k0) = (1, 2).
+    truncation-end values take one more call.  S+ comes from the lines'
+    cached states (_LineState), so a request at a parameter set and
+    panel width seen before evaluates S+ at few points or none.  Each
+    ladder sample is the same, bit for bit, as psi_unified at its eps,
+    and the same checks raise the same errors: the eps = 3e-3 line, the
+    highest, sets the reach, |R| and |y| <= 35.19 at (a, k0) = (1, 2).
 
     The first Neville level takes the linear extrapolants of the pairs
     (e0, e1) and (e1, e2); the second combines them over (e1, e2), where

@@ -170,8 +170,10 @@ def test_wavefunction_grid_csv(tmp_path):
 
 
 def test_wavefunction_rejects_boundary(tmp_path):
+    # scan_grid's ValueError on R = 0 comes before any output
     assert main(["wavefunction", "--R", "-1:1:3", "--y", "0:1:2",
                  "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
     assert main(["wavefunction", "--R", "bad", "--y", "0:1:2",
                  "--out", str(tmp_path)]) == 2
 
@@ -203,11 +205,14 @@ def test_wavefunction_rejects_invalid_input(tmp_path, args):
      "cannot separate the pole K"),
     (["wavefunction", "--R", "3e5:3e5:1", "--y", "0.5:0.5:1", "--method",
       "unified", "--tol", "1e-4"], "beyond the unified line's reach"),
+    (["wavefunction", "--R", "-1:-1:1", "--y", "1e6:1e6:1", "--method",
+      "unified", "--tol", "1e-4"], "|y| = 1e+06 is beyond the unified line's "
+     "reach"),
     (["factor", "--a", "0", "--k0", "0", "--at-K"], "K = 0"),
     (["wavefunction", "--a", "0", "--k0", "0", "--R", "-1:1:2", "--y",
       "0:1:2"], "K = 0"),
-], ids=["unified-a-zero", "unified-weak", "unified-far", "factor-no-wave",
-        "wavefunction-no-wave"])
+], ids=["unified-a-zero", "unified-weak", "unified-far", "unified-far-y",
+        "factor-no-wave", "wavefunction-no-wave"])
 def test_parameters_without_a_route_are_usage_errors(tmp_path, capsys, argv,
                                                       match):
     # a typed error before any output, not NaN rows or a division by zero

@@ -458,6 +458,38 @@ def test_unified_rejects_R_beyond_reach(call, R, reach):
         call(R)
 
 
+def _ladder_y(y):
+    return psi_unified_extrapolated(-1.0, y, RP, tol=1e-7)
+
+
+def _line_eps_1e3_y(y):
+    return psi_unified(-1.0, y, RP, eps=1e-3, tol=1e-6)
+
+
+@pytest.mark.parametrize("call, y, reach", [
+    (_ladder_y, 100.0, 35.19), (_ladder_y, -100.0, 35.19),
+    (_ladder_y, 1e6, 35.19), (_line_eps_1e3_y, 106.0, 105.6)])
+def test_unified_rejects_y_beyond_reach(call, y, reach):
+    # the line's bias grows like c |y| through e^{-|y| w}: at R = -1, 2
+    # and -5 (tol 1e-7) the ladder read converged with gap/err_est 1.08 at
+    # y = 100 and up to 2.07 at y = 300 and 1000, and at y = 1e6 it gave
+    # 3.4e-50 marked converged where psi is about 1.4e-4
+    with pytest.raises(ValueError, match=r"\|y\| = \S+ is beyond the unified "
+                       f"line's reach {reach}"):
+        call(y)
+
+
+def test_unified_y_reach_is_the_R_reach():
+    # c max(|R|, |y|) <= 0.1: just inside the ladder's reach in |y| a
+    # sample is returned, just outside it is refused
+    reach = wf._REACH / wf._line_state(RP.a, RP.k0, wf._EPS_LADDER[0]).c
+    assert round(reach, 2) == 35.19
+    s = _ladder_y(0.999 * reach)
+    assert cmath.isfinite(s.psi) and s.err_est < 1e-3
+    with pytest.raises(ValueError, match=r"\|y\| = "):
+        _ladder_y(1.001 * reach)
+
+
 @pytest.mark.xfail(strict=True, reason="known defect: below a ~ 1e-4 the "
                    "eps ladder's err_est understates its gap")
 @pytest.mark.parametrize("a", [1e-6, 1e-5])
@@ -469,6 +501,58 @@ def test_unified_weak_binding_err_est_bounds_gap(a):
     uni = psi_unified_extrapolated(-1.0, 0.5, rp, tol=1e-6)
     ref = psi_free(-1.0, 0.5, rp, tol=1e-10)
     assert abs(uni.psi - ref.psi) <= uni.err_est
+
+
+# psi_unified_extrapolated at (1, 2), tol 1e-7: (psi, err_est,
+# converged) as recorded while the unified integrand still evaluated all
+# lines' points in one array with per-point parameters
+_LADDER_PINS = {
+    (-6.5, 2.25): ((0.3031842460533479+0.14508172309374626j),
+                   6.904269319072457e-05, True),
+    (6.0, 2.5): ((0.07287325745100645-0.05023348620387807j),
+                 1.3384580363915879e-05, True),
+    (-1.5, 0.0): ((-0.5708618243370981+0.322493322677551j),
+                  3.17779578847832e-05, True),
+    (3.0, 0.0): ((1.006685922156934-0.4089539056435124j),
+                 7.547254489532986e-05, True),
+}
+
+
+@pytest.mark.parametrize("R, y", list(_LADDER_PINS))
+def test_unified_ladder_golden(R, y):
+    # cold (an empty S+ memo) and warm (the memo holding the request's
+    # own lines), bit for bit
+    wf._line_state.cache_clear()
+    for _ in ("cold", "warm"):
+        s = psi_unified_extrapolated(R, y, RP, tol=1e-7)
+        assert repr((s.psi, s.err_est, s.converged)) == repr(_LADDER_PINS[R, y])
+
+
+def test_unified_line_golden():
+    # a line on no ladder (eps 2e-3), from an empty memo
+    wf._line_state.cache_clear()
+    s = psi_unified(-4.0, 1.5, RP, eps=2e-3)
+    assert repr((s.psi, s.err_est, s.converged)) == repr((
+        (0.001170704489519593+0.41504630492909556j), 6.736901231938265e-10,
+        True))
+
+
+def test_unified_cold_request_memory():
+    # a cold ladder at the input with the largest first integrand call
+    # of the unified workload's pool (seed 1): the integrand takes one
+    # line's points at a time, and its traced peak (2.09 MB on NumPy 2.4)
+    # stays below what the earlier evaluation of all lines' points in
+    # 4096-point blocks took (2.39 MB)
+    R, y = -4.7224400189255675, 0.5921560928083303
+    psi_unified_extrapolated(-1.0, 0.5, RP)
+    wf._line_state.cache_clear()
+    tracemalloc.start()
+    try:
+        psi_unified_extrapolated(R, y, RP, tol=1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.33e6
 
 
 def test_unified_residue_unit_incident():
@@ -574,6 +658,37 @@ def test_weak_binding_segment_resolved(a):
 def test_weak_binding_segment_spike():
     for a, tol in ((1e-9, 1e-6), (1e-12, 1e-9)):
         assert max(_weak_binding_gaps(a, tol)) <= 10 * a, (a, tol)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="known defect: the leg's DECAYING_RAY has rate |R|, "
+                   "and below |R| ~ 1e-15 its mass lies beyond every node: "
+                   "converged=True far from psi")
+@pytest.mark.parametrize("R", [-1e-16, 1e-16])
+def test_tiny_R_leg_resolved(R):
+    # at |R| = 1e-14 both regions read 1.01658912-0.14924697j; at 1e-16
+    # psi_free reads 0.8481+0.0137j and psi_atom 1.1895-0.0610j, both
+    # converged
+    route = psi_free if R < 0 else psi_atom
+    near = route(R, 0.0, RP, tol=1e-8)
+    ref = route(math.copysign(1e-14, R), 0.0, RP, tol=1e-8)
+    assert ref.converged and abs(ref.psi - (1.01658912 - 0.14924697j)) < 1e-8
+    assert not near.converged or (abs(near.psi - ref.psi)
+                                  <= near.err_est + ref.err_est + 1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=(RuntimeWarning, OverflowError),
+                   reason="known defect: at |R| = 1e-200 the leg's rate-|R| "
+                   "ray gives NaN, and at 5e-324 _panel_edges raises "
+                   "OverflowError from math.ceil(inf)")
+@pytest.mark.parametrize("R", [-1e-200, 1e-200, -5e-324, 5e-324])
+def test_tiny_R_finite_or_typed_error(R):
+    route = psi_free if R < 0 else psi_atom
+    try:
+        s = route(R, 0.0, RP, tol=1e-8)
+    except ValueError:
+        return
+    assert cmath.isfinite(s.psi)
 
 
 def test_regional_routes_finite_at_k0_zero():

@@ -267,30 +267,24 @@ def test_splus_blocks_match_pointwise(monkeypatch):
         assert sum(calls) == 4 * size
 
 
-def test_splus_per_point_parameters_match_scalar_calls():
-    # k0 and K given per point (as the unified ladder passes its three
-    # lines' eps-shifted values): each point equals its scalar call, bit
-    # for bit, across block boundaries that cut the parameter runs
+@pytest.mark.parametrize("eps", [3e-3, 1e-3, 3e-4])
+def test_splus_point_bits_do_not_depend_on_the_array(eps):
+    # the premise of the unified route's S+ memo: at a ladder line's
+    # eps-shifted k0 and K, any subset of the points, here permuted and
+    # strided across more than two 1024-point blocks, and single points,
+    # give each point the same bytes as the whole array
     rng = np.random.default_rng(5)
-    runs = []
-    for eps, n in ((3e-3, 700), (1e-3, 900), (3e-4, 650)):
-        k0e = complex(RP.k0, eps)
-        Ke = cmath.sqrt(k0e * k0e + RP.a * RP.a)
-        k = rng.uniform(-8.0, 8.0, n) + 1j * rng.uniform(0.0, 2e-3, n)
-        runs.append((k, k0e, Ke, _purepy.splus(k, RP.a, k0e, Ke)))
-    k = np.concatenate([r[0] for r in runs])
-    k0 = np.concatenate([np.full(len(r[0]), r[1]) for r in runs])
-    Kp = np.concatenate([np.full(len(r[0]), r[2]) for r in runs])
-    assert len(k) > 2 * 1024
-    got = _purepy.splus(k, RP.a, k0, Kp)
-    assert got.tobytes() == np.concatenate([r[3] for r in runs]).tobytes()
-    # the unified route's S+ memo relies on it: any subset of the points,
-    # here permuted and strided, and single points, give the same bytes
+    k0e = complex(RP.k0, eps)
+    Ke = cmath.sqrt(k0e * k0e + RP.a * RP.a)
+    k = rng.uniform(-8.0, 8.0, 2300) + 1j * rng.uniform(0.0, 2e-3, 2300)
+    assert len(k) > 2 * _purepy._SPLUS_BLOCK
+    got = _purepy.splus(k, RP.a, k0e, Ke)
     perm = rng.permutation(len(k))
-    sub = _purepy.splus(k[perm][::3], RP.a, k0[perm][::3], Kp[perm][::3])
-    assert sub.tobytes() == got[perm][::3].tobytes()
+    for idx in (perm, perm[::3], np.arange(1, len(k), 7)):
+        sub = _purepy.splus(k[idx], RP.a, k0e, Ke)
+        assert sub.tobytes() == got[idx].tobytes()
     for i in perm[:5]:
-        one = _purepy.splus(k[i:i + 1], RP.a, k0[i:i + 1], Kp[i:i + 1])
+        one = _purepy.splus(k[i:i + 1], RP.a, k0e, Ke)
         assert one.tobytes() == got[i:i + 1].tobytes()
 
 
