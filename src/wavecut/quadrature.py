@@ -29,16 +29,19 @@ rays, float64 abscissae) or all horizontal (complex128 abscissae), so an
 integrand can tell the lines of a multi-line call apart by Im k.
 
 One call can integrate several pieces that share an integrand, such as
-the intervals of a contour.  Every piece keeps its own heap of panels,
+the intervals of a contour.  Every piece keeps its own list of panels,
 tolerance, split budget and stopping rule.  What the pieces share is the
 numeric pass of each refinement round, over the new panels of every
 unfinished piece at once: one panel map, one integrand call, one pair of
 K15/G7 matrix products and one conversion to Python scalars per column.
-The pieces then file their slices of those lists in their own heaps and
-select their next panels.  A piece's value, error estimate and
-evaluation count are therefore the same as when it is integrated alone,
-while the fixed NumPy cost is paid once per round instead of once per
-piece and round.
+The pieces then append their slices of those lists to their own panel
+lists, and a piece that has to choose panels to split makes its list a
+heap (heapq.heapify) and pops them worst first.  A piece sums its panel
+errors once per round and its roundoff floor once, when it stops (or
+when its panel errors alone are within tol); its result reuses both.  A
+piece's value, error estimate and evaluation count are therefore the
+same as when it is integrated alone, while the fixed NumPy cost is paid
+once per round instead of once per piece and round.
 """
 
 from __future__ import annotations
@@ -92,8 +95,14 @@ _W7[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])
 # worst-first panels refined per adaptive sweep
 _BATCH = 64
 
-# a heap item's negated error estimate
+# a panel's negated error estimate, its value and a value's parts
 _NEG_ERR = operator.itemgetter(0)
+_VALUE = operator.itemgetter(4)
+_REAL = operator.attrgetter("real")
+_IMAG = operator.attrgetter("imag")
+
+# a ray is laid out over this many decay lengths (_panel_edges)
+_RAY_SPAN = 30.0
 
 # roundoff floor of an error estimate per unit of sum_p |K15_p|
 _ROUNDOFF = 100.0 * 2.220446049250313e-16
@@ -145,6 +154,9 @@ class QuadratureSpec:
             _, rate = self.endpoints
             if not rate > 0.0:
                 raise ValueError("decay rate must be positive")
+            if not (math.isfinite(rate) and math.isfinite(_RAY_SPAN / rate)):
+                raise ValueError(f"decay rate {rate!r} cannot be laid out: "
+                                 "it or its 30 decay lengths are not finite")
         object.__setattr__(self, "height", height)
 
 
@@ -170,33 +182,31 @@ def _map_panels(los: np.ndarray, his: np.ndarray, pieces):
     of the panels given in that spec's own variable s.  FINITE pieces
     have x = s; a ray maps x = start + s/((1-s) rate) on its own rows and
     adds (rows, dx/ds) to the Jacobian list.  If the pieces are
-    horizontal (all of them, as integrate checks), x is complex128:
-    s + 1j*c with each piece's own height c."""
+    horizontal (all of them, as integrate checks, each rows then a
+    slice(start, stop)), x is complex128: s + 1j*c with each piece's own
+    height c."""
     h = 0.5 * (his - los)
     x = (0.5 * (los + his))[:, None] + h[:, None] * _NODES
+    if pieces[0][0].height is not None:
+        c = np.repeat([spec.height for spec, _ in pieces],
+                      [rows.stop - rows.start for _, rows in pieces])
+        return x + 1j * c[:, None], [], h
     jacs = []
-    heights = []
     for spec, rows in pieces:
         if spec.kind is Kind.DECAYING_RAY:
             start, rate = spec.endpoints
             s = x[rows]  # a view: take dx/ds before x is overwritten
             jacs.append((rows, 1.0 / (rate * (1.0 - s) ** 2)))
             x[rows] = start + s / ((1.0 - s) * rate)
-        elif spec.height is not None:
-            heights.append((rows, spec.height))
-    if heights:
-        c = np.empty(len(h))
-        for rows, height in heights:
-            c[rows] = height
-        x = x + 1j * c[:, None]
     return x, jacs, h
 
 
 def _panel_edges(spec: QuadratureSpec, n: Optional[int] = None):
-    """Edges of n equal panels in the spec's own variable, None for an
-    empty interval.  Without a width the default n is 8.  With one it is
-    ceil(span / panel_width) over the x-span, at most 16384, and at least
-    2 on an interval, where every panel is then within panel_width.
+    """Edges of n equal panels in the spec's own variable, a list of
+    Python floats, None for an empty interval.  Without a width the
+    default n is 8.  With one it is ceil(span / panel_width) over the
+    x-span, at most 16384, and at least 2 on an interval, where every
+    panel is then within panel_width.
 
     On a ray the span is 30 decay lengths and the floor is 8, the count a
     width-less spec gets: the map folds any decay e^(-rate u) into the
@@ -210,31 +220,39 @@ def _panel_edges(spec: QuadratureSpec, n: Optional[int] = None):
         span, least = abs(s1 - s0), 2
     else:
         s0, s1 = 0.0, _S_HI
-        span, least = 30.0 / spec.endpoints[1], 8
+        span, least = _RAY_SPAN / spec.endpoints[1], 8
     if n is None:
         if spec.panel_width is not None and spec.panel_width > 0:
             n = int(min(16384,
                         max(least, math.ceil(span / spec.panel_width))))
         else:
             n = 8
-    # np.linspace(s0, s1, n + 1) bit for bit (its arithmetic for a
-    # nonzero step), without the call overhead that was a fifth of a
-    # one-round integrate call
-    edges = np.arange(n + 1) * ((s1 - s0) / n) + s0
-    edges[-1] = s1
+    # np.linspace(s0, s1, n + 1) bit for bit: its arithmetic for a
+    # nonzero step, i*step + s0 with the last edge s1, in Python floats,
+    # which integrate keeps its panels in
+    step = (s1 - s0) / n
+    edges = [i * step + s0 for i in range(n)]
+    edges.append(s1)
     return edges
 
 
 class _Run:
-    """Adaptive state of one spec: its heap of panels, counts and limits.
-    A heap item is (-err, serial, lo, hi, value) of one panel."""
+    """Adaptive state of one spec: its panels, counts and limits.
+
+    A panel is (-err, serial, lo, hi, value).  Each round's evaluated
+    panels are appended to a plain list; only a piece that has to choose
+    panels to split makes that list a heap, so it pops them by
+    (-err, serial): worst first, and in filing order among equal errors.
+    When the piece stops, its panel errors plus the roundoff floor are
+    kept in err for result()."""
 
     def __init__(self, spec: QuadratureSpec):
         self.spec = spec
-        self.heap: list = []
+        self.panels: list = []
         self.counter = 0
         self.evals = 0
         self.splits = 0
+        self.err = 0.0  # as summed over no panels: an empty piece's
 
     def push(self, negerrs: list, los: list, his: list, vals: list) -> None:
         """File evaluated panels, given as Python scalars: the heap
@@ -242,25 +260,28 @@ class _Run:
         n = self.counter
         self.counter += len(vals)
         self.evals += 15 * len(vals)
-        for item in zip(negerrs, range(n, self.counter), los, his, vals):
-            heapq.heappush(self.heap, item)
+        self.panels.extend(zip(negerrs, range(n, self.counter), los, his,
+                               vals))
 
     def refine(self) -> Optional[tuple]:
         """The (los, his) lists of the panels to evaluate next, or None
         once finished: the panel errors plus the roundoff floor are
         within tol (the rule result() judges converged by), the floor
-        alone exceeds tol, the split budget is spent, or nothing left can
-        be split."""
-        spec, heap = self.spec, self.heap
-        if self.splits >= spec.max_subdivisions:
-            return None
+        alone exceeds tol, the split budget is spent, the panel errors
+        sum to NaN (no order of the panels is then the worst first), or
+        nothing left can be split."""
+        spec, heap = self.spec, self.panels
         err = -math.fsum(map(_NEG_ERR, heap))
+        if self.splits >= spec.max_subdivisions or err != err:
+            return self._finish(err)
         if err <= spec.tol:
-            # the floor costs a pass over the heap, so only here; splitting
-            # does not lower it, so once it alone exceeds tol no split helps
-            floor = self.floor()
+            # the floor costs a pass over the panels, so only here;
+            # splitting does not lower it, so once it alone exceeds tol no
+            # split helps
+            floor = self._floor()
             if err + floor <= spec.tol or floor > spec.tol:
-                return None
+                return self._finish(err, floor)
+        heapq.heapify(heap)
         todo = []
         while heap and len(todo) < _BATCH:
             item = heapq.heappop(heap)
@@ -278,40 +299,43 @@ class _Run:
             los += (lo, mid)
             his += (mid, hi)
         if not los:
-            return None
+            return self._finish(err)
         self.splits += len(los) // 2
         return los, his
 
-    def floor(self) -> float:
+    def _floor(self) -> float:
         """Roundoff floor of the error estimate: accumulated
         double-precision noise over the panels, from Python's
         abs(complex), which np.abs can differ from by an ulp."""
-        return _ROUNDOFF * math.fsum(abs(item[4]) for item in self.heap)
+        return _ROUNDOFF * math.fsum(map(abs, map(_VALUE, self.panels)))
+
+    def _finish(self, err: float, floor: Optional[float] = None) -> None:
+        """Keeps the panel errors err plus the roundoff floor as the
+        piece's error estimate; None, refine's answer once finished."""
+        self.err = err + (self._floor() if floor is None else floor)
 
     def result(self) -> QuadResult:
         # fsum is exactly rounded, so the order of the panels is immaterial
-        vals = [item[4] for item in self.heap]
-        re = math.fsum(v.real for v in vals)
-        im = math.fsum(v.imag for v in vals)
-        err = -math.fsum(map(_NEG_ERR, self.heap)) + self.floor()
-        return QuadResult(complex(re, im), err, self.evals,
-                          err <= self.spec.tol)
+        vals = list(map(_VALUE, self.panels))
+        return QuadResult(complex(math.fsum(map(_REAL, vals)),
+                                  math.fsum(map(_IMAG, vals))),
+                          self.err, self.evals, self.err <= self.spec.tol)
 
 
 def integrate(f, *specs: QuadratureSpec) -> QuadResult:
     """Integrate a complex-valued vectorized integrand over one or more
     pieces.
 
-    Each spec is refined on its own: its own heap of panels, tol,
+    Each spec is refined on its own: its own panels, tol,
     max_subdivisions, split count and stopping rule, so a piece takes the
     same panels and gives the same value, err_est and evaluations whether
     it is passed alone or with others.  What the pieces share is the
     numeric pass of each refinement round: the new panels of every
     unfinished piece, concatenated in spec order, are mapped to abscissae
     once, go to ``f`` in one call, and get their K15 and G7 sums from one
-    pair of matrix products; each piece then files its slice of the
-    panels in its heap and selects its next ones.  A contour of n pieces
-    costs one pass per round instead of one per piece and round.
+    pair of matrix products; each piece then appends its slice of the
+    panels to its own list and selects its next ones.  A contour of n
+    pieces costs one pass per round instead of one per piece and round.
 
     The pieces are either all real or all horizontal (complex FINITE
     endpoints on Im k = c, see QuadratureSpec): several horizontal lines
@@ -352,7 +376,7 @@ def integrate(f, *specs: QuadratureSpec) -> QuadResult:
     for run in runs:
         edges = _panel_edges(run.spec)
         if edges is not None:  # an empty interval has no panels
-            todo.append((run, edges[:-1].tolist(), edges[1:].tolist()))
+            todo.append((run, edges[:-1], edges[1:]))
     while todo:
         los, his, pieces = [], [], []
         for run, lo, hi in todo:

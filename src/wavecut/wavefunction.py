@@ -34,6 +34,7 @@ at any fixed |y|; see the saddle form psi_tail_saddle.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import logging
@@ -318,6 +319,11 @@ _RESIDUE_POINTS = 256
 _MEMO_NODES = 16384
 _MEMO_LINES = 9
 
+# a line state keeps the interior pieces of at most _LAYOUTS layouts
+# (_LineState.interior), the oldest dropped first: a request's panel width
+# is one of the few powers of two up to 4 that its |R| + |y| gives
+_LAYOUTS = 8
+
 # the largest c max(|R|, |y|) a unified line serves (_line)
 _REACH = 0.1
 
@@ -338,6 +344,10 @@ class _LineState:
     does every bisection of them.  So every node of a request, tails and
     truncation ends included, has the same Re k in every later request
     whose panels have the same width, whatever X is.
+
+    The pieces between consecutive cuts are the same in every request
+    with the same tol and panel width whose X lies beyond the same cuts,
+    so interior() builds them once per such layout.
 
     The memo holds Re k, sorted ascending (held), and S+ (vals) at nodes
     of the line.  splus reads the held nodes and evaluates S+ at the
@@ -379,7 +389,31 @@ class _LineState:
         # so -+E lies on the grid of every width
         E = 4.0 * (math.floor(max(map(abs, cuts)) / 4.0) + 1.0)
         self.cuts = tuple(sorted(set(cuts + [-E, E])))
+        self.layouts = {}
         self.held, self.vals = np.empty(0), np.empty(0, np.complex128)
+
+    def piece(self, lo: float, hi: float, tol: float,
+              width: float) -> QuadratureSpec:
+        """The line's piece (lo, hi) + ic on panels of the given width."""
+        return QuadratureSpec(Kind.FINITE,
+                              (complex(lo, self.c), complex(hi, self.c)),
+                              tol=tol, panel_width=width,
+                              max_subdivisions=6000)
+
+    def interior(self, lo: int, hi: int, tol: float,
+                 width: float) -> tuple:
+        """The pieces between consecutive cuts of cuts[lo:hi], each with
+        tol and the panel width; the last _LAYOUTS built are kept."""
+        key = (lo, hi, tol, width)
+        specs = self.layouts.get(key)
+        if specs is None:
+            if len(self.layouts) >= _LAYOUTS:
+                del self.layouts[next(iter(self.layouts))]
+            cuts = self.cuts[lo:hi]
+            specs = self.layouts[key] = tuple(
+                self.piece(a, b, tol, width)
+                for a, b in zip(cuts[:-1], cuts[1:]))
+        return specs
 
     def splus(self, k: np.ndarray, found: list) -> np.ndarray:
         """S+ at the points k of the line: the memo's values where it
@@ -494,12 +528,14 @@ def _line(R: float, y: float, rp: ReducedParams, eps: float,
     # 2**floor(log2(wavelength)), exactly
     width = math.ldexp(1.0, math.frexp(2.0 * PI / (aR + ay + 1.0))[1] - 1)
     X = width * math.ceil(X / width)
-    edges = [-X, *[e for e in st.cuts if -X < e < X], X]
-    c = st.c
-    specs = tuple(QuadratureSpec(Kind.FINITE, (complex(lo, c), complex(hi, c)),
-                                 tol=tol / (len(edges) - 1),
-                                 panel_width=width, max_subdivisions=6000)
-                  for lo, hi in zip(edges[:-1], edges[1:]))
+    # cuts[lo:hi] lie inside (-X, X), never none of them: X >= K + 10
+    # > k0 + 0.4.  The tails run from -+X to the outermost of them.
+    cuts = st.cuts
+    lo, hi = bisect.bisect_right(cuts, -X), bisect.bisect_left(cuts, X)
+    tol = tol / (hi - lo + 1)  # each piece's share
+    specs = (st.piece(-X, cuts[lo], tol, width),
+             *st.interior(lo, hi, tol, width),
+             st.piece(cuts[hi - 1], X, tol, width))
     return _Line(specs, X, st)
 
 
@@ -736,6 +772,7 @@ def _fixed_nodes(piece, spec: QuadratureSpec, n_panels: int,
     if edges is None:
         none, w = np.empty(0), np.empty((0, 15))
         return none, none, none, None, w, w
+    edges = np.array(edges)
     x, jacs, h = _map_panels(edges[:-1], edges[1:], [(spec, slice(None))])
     z, q, amp, jump = piece(x.ravel(), rp)
     for _, jac in jacs:

@@ -126,6 +126,21 @@ def test_tol_below_roundoff_floor_stops_refining():
     assert res.evaluations == 360
 
 
+@pytest.mark.parametrize("nan_left", [True, False])
+def test_nan_error_estimate_stops_refining(nan_left):
+    # a NaN panel error leaves no worst panel to split first: the piece
+    # stops on its 8 initial panels, on either side of the NaN
+    def f(x):
+        return np.where((x < 0.5) == nan_left, np.nan, np.exp(x)) + 0j
+
+    spec = QuadratureSpec(Kind.FINITE, (0.0, 1.0))
+    res, again = integrate(f, spec), integrate(f, spec)
+    assert not (np.isfinite(res.value) and math.isfinite(res.err_est))
+    assert not res.converged
+    assert res.evaluations == 15 * 8
+    assert repr(again) == repr(res)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(Kind.FINITE, (0.0, 1.0), tol=-1.0)
@@ -140,6 +155,11 @@ def test_endpoint_checks_at_construction():
     for rate in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="decay rate must be positive"):
             QuadratureSpec(Kind.DECAYING_RAY, (0.0, rate))
+    # 30 decay lengths overflow below rate ~1.7e-307
+    for rate in (math.inf, 1e-308, 5e-324):
+        with pytest.raises(ValueError, match="cannot be laid out"):
+            QuadratureSpec(Kind.DECAYING_RAY, (0.0, rate))
+    QuadratureSpec(Kind.DECAYING_RAY, (0.0, 1e-300))
 
 
 def test_evaluation_count_reported():
@@ -409,6 +429,21 @@ def _golden_cases():
         QuadratureSpec(Kind.FINITE, (0.0, 1.0), tol=1e-12),
         QuadratureSpec(Kind.FINITE, (1.0, 1.0)),
         QuadratureSpec(Kind.DECAYING_RAY, (1.0, 1.0), tol=1e-12)))
+
+    def tied(x):
+        # the same 15 node values on every panel, times 1, i or -1 by
+        # floor(m^2) of the panel's midpoint m: every panel of one width
+        # has the same error estimate, exactly, so the panels split are
+        # chosen by serial number alone, and the value tells which
+        turn = np.floor(x[7::15] ** 2).astype(np.intp) % 3
+        return (np.array([1, 1j, -1])[turn][:, None]
+                * np.exp(np.arange(15) / 7.0)).ravel()
+
+    # 8, 16, 32 and 64 panels split whole; the budget stops the piece
+    # after the first 64 of the 128 tied panels
+    cases["tie-break"] = (tied, (QuadratureSpec(
+        Kind.FINITE, (0.0, 8.0), panel_width=1.0, tol=1e-3,
+        max_subdivisions=150),))
     return cases
 
 
@@ -419,6 +454,8 @@ def _golden_cases():
 # wavelength per initial panel, the legs on at least 8 ray panels, and the
 # j_axis cases the oracle's 4-panel gap piece; a change of a layout
 # re-records them, each new value within its new err_est of the old one.
+# The tie-break case, recorded with every panel pushed on a heap as it
+# was evaluated, pins the (-err, serial) order in which panels are split.
 _GOLDEN = {
     'unified-eps0.003': (
         '(1.1243044720554267-1.6712569461338518j)',
@@ -459,6 +496,9 @@ _GOLDEN = {
     'empty-piece': (
         '(1+0j)',
         '2.4031282087343082e-14', 360, True, 3),
+    'tie-break': (
+        '(3.1234751086515584+7.856013152063011j)',
+        '0.023447358271622823', 5640, False, 6),
 }
 
 
@@ -509,10 +549,11 @@ def test_panel_edges_equal_linspace():
         a, b = rng.normal(size=2) * 10.0 ** rng.integers(-9, 9, size=2)
         n = int(rng.integers(1, 5000))
         edges = _panel_edges(QuadratureSpec(Kind.FINITE, (a, b)), n)
-        assert edges.tobytes() == np.linspace(a, b, n + 1).tobytes()
+        assert np.array(edges).tobytes() == \
+            np.linspace(a, b, n + 1).tobytes()
     for width in (None, 0.0125, 0.75):
         spec = QuadratureSpec(Kind.DECAYING_RAY, (1.0, 0.7),
                               panel_width=width)
         edges = _panel_edges(spec)
-        assert edges.tobytes() == \
+        assert np.array(edges).tobytes() == \
             np.linspace(0.0, 1.0 - 1e-6, len(edges)).tobytes()
